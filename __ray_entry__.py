@@ -58,7 +58,7 @@ def entry() -> Any:
     from norsk_historisk_avis_ocr_ray.pipelines.extract import extract
 
     docs = read_span_docs(SF_SMOKE)
-    return extract(docs, None, ocr_concurrency=2)
+    return extract(docs, None)
 
 
 def _extract_docs(sf_dir: str) -> Any:
@@ -71,10 +71,7 @@ def _extract_docs(sf_dir: str) -> Any:
     from norsk_historisk_avis_ocr_ray.pipelines.docs_adapter import read_span_docs
     from norsk_historisk_avis_ocr_ray.pipelines.extract import extract
 
-    # 8 actors: measured 6.3s@4 -> 3.7s@8 at sf0.1/32 CPUs (12 adds nothing);
-    # extract()'s actor-budget guard scales this down on small sessions.
-    out = extract(read_span_docs(sf_dir), None, correction=False,
-                  ocr_concurrency=8)
+    out = extract(read_span_docs(sf_dir), None, correction=False)
 
     def flat(t: pa.Table) -> pa.Table:
         return pa.table({

@@ -82,7 +82,7 @@ def run_headline(corpus_dir: str, ncpu: int) -> dict:
 
 
 def run_shuffle_pipeline(corpus_dir: str, ncpu: int) -> float:
-    """Secondary: the general shuffle-based pipeline (dataflow media mode) on
+    """Secondary: the general shuffle-based pipeline (the join path) on
     the same corpus — the path for non-co-partitioned inputs."""
     import ray
     from norsk_historisk_avis_ocr_ray.pipelines.extract import extract
@@ -107,8 +107,7 @@ def run_shuffle_pipeline(corpus_dir: str, ncpu: int) -> float:
     # tuned 3N/4-actor pool @ 48 remains the optimum.
     out = extract(docs, os.path.join(corpus_dir, "pages"),
                   ocr_concurrency=max(2, (3 * ncpu) // 4),
-                  ocr_batch_size=48,
-                  media_resolution="dataflow")
+                  ocr_batch_size=48)
     out.count()
     return round(time.time() - t0, 3)
 

@@ -1,72 +1,53 @@
-"""The flagship extraction pipeline, Ray-Data-native.
+"""The general extraction pipeline, Ray-Data-native, for inputs that are
+not co-partitioned into shards (``pipelines.sharded`` is the zero-shuffle
+path for those that are). Both share the page kernel and the span
+resolution of ``stages.ocr``.
 
 Dataset-level composition (SURVEY.md §3.4):
 
     documents (doc_id, spans)
       └─ map_batches(explode_spans)                    stateless, Arrow kernels
-      └─ map_batches(LayoutOcrStage, concurrency=N)    actor pool: media resolve
-           │                                           + layout + OCR fused, so
-           │                                           image bytes never enter
-           │                                           the downstream stream
+      └─ spans → region rows, one of two cases:
+           pages=None   map_batches(resolve_spans)     text-only: no OCR, a
+                                                       media span is MissingMedia
+           pages given  pages ─ map_batches(LayoutOcrStage | page_ocr_batch)
+                        media spans ─ join(on media_ref) ─ finalize_media
+                        other spans ─ passthrough_spans ─ union
       └─ map_batches(clean_batch)                      stateless T1 cleanup
-      └─ groupby(doc_id).map_groups(repack_group)      THE one shuffle (text-only)
-      └─ map_batches(CorrectorStage, concurrency=M)    actor pool: normalizer
+      └─ groupby(rbucket).map_groups(repack)           THE one shuffle (text-only)
+      └─ map_batches(correct_batch | CorrectorStage)   normalizer
 
-Media resolution strategies:
-- ``broadcast`` (default): the pages table is ``ray.put`` once on the driver;
-  each OCR actor fetches it zero-copy from the local object store in
-  ``__init__``. Right when the media side fits in the object store (tests,
-  or per-shard page groups at scale).
-- ``join``: ``Dataset.join`` of media-span rows with the pages table on
-  ``media_ref`` (hash-partitioned), for page tables too big to broadcast.
-  Text/empty rows bypass the join and are unioned back.
+With pages, OCR is driven by the *pages* dataset: image bytes stream
+block-local through the OCR stage and are never broadcast, looked up or
+shuffled; the all-to-alls (join + groupby) move text only.
 """
 
 from __future__ import annotations
 
+import os
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
 
 from ..functions import scale
 from ..functions.textops import clean_batch
-from ..stages.correct import CorrectorStage
+from ..stages.correct import CorrectorStage, correct_batch
 from ..stages.explode import explode_spans
-from ..stages.ocr import LayoutOcrStage, MockBarcodeOcr, PageOcrStage
-from ..stages.repack import repack_group, repack_table
-
-REGION_COLS = ["doc_id", "in_offset", "region_idx", "kind", "text",
-               "media_ref", "error", "n_cols"]
-
-
-def pages_to_dict(pages: "pa.Table | Dataset | None") -> dict[str, tuple[bytes, int, int, str]]:
-    """Materialize a pages table into the broadcast lookup dict."""
-    if pages is None:
-        return {}
-    if isinstance(pages, Dataset):
-        batches = pages.select_columns(
-            ["media_ref", "image", "width", "height", "codec"]
-        ).iter_batches(batch_format="pyarrow", batch_size=256)
-    else:
-        batches = [pages]
-    out: dict[str, tuple[bytes, int, int, str]] = {}
-    for b in batches:
-        for ref, img, w, h, codec in zip(
-            b["media_ref"].to_pylist(), b["image"].to_pylist(),
-            b["width"].to_pylist(), b["height"].to_pylist(),
-            b["codec"].to_pylist(),
-        ):
-            out[ref] = (img, w, h, codec)
-    return out
+from ..stages.ocr import (PAGE_COLUMNS, LayoutOcrStage, MockBarcodeOcr,
+                          finalize_media, page_ocr_batch,
+                          passthrough_spans, resolve_spans)
+from ..stages.repack import repack_table
 
 
 def extract(
     docs: Dataset,
-    pages: "pa.Table | Dataset | None" = None,
+    pages: "str | pa.Table | Dataset | None" = None,
     *,
     engine_factory: Callable[[], Any] = MockBarcodeOcr,
     ocr_concurrency: int | tuple[int, int] = 4,
@@ -76,18 +57,33 @@ def extract(
     emit_diff: bool = True,
     media_resolution: str = "auto",
     ocr_compute: str = "actors",
-    skew_split_width: int | None = None,
     span_checkpoint: str | None = None,
 ) -> Dataset:
     """documents + pages → output Dataset (doc_id, spans, combined,
     transcribed, corrected, n_edits, diff, n_errors).
 
-    media_resolution: 'auto' picks 'dataflow' whenever a pages source is
-    given (the scale path) and 'broadcast' for pages=None (text-only input);
-    explicit values: 'dataflow' | 'store' | 'broadcast'.
+    pages: a parquet path (file or directory), a pyarrow Table or a Dataset
+    with ``media_ref, image, width, height, codec``; None for text-only
+    input. Text-only input maps spans straight to regions (no OCR stage; a
+    media span becomes a ``MissingMedia`` error row). With pages, media spans
+    are resolved by a join on ``media_ref`` against the page kernel's region
+    rows.
 
-    span_checkpoint: the dataflow mode consumes the exploded span stream in
-    TWO branches (media spans → join; text spans → passthrough), and a lazy
+    media_resolution: kept for callers that name the join path; 'auto' and
+    'dataflow' are the same, anything else is a ``ValueError``.
+
+    ocr_compute: 'actors' (default) runs OCR as an actor pool of
+    ``ocr_concurrency`` actors; 'tasks' runs it as elastic Ray tasks with a
+    per-worker-process engine cache (``stages.ocr.page_ocr_batch``), fused
+    with the pages read — no pool sizing. Right whenever engine setup is
+    cheap enough to pay once per worker process (mock/tesseract); keep
+    'actors' for heavyweight engines (LLM clients with connection state).
+
+    corrector_concurrency: None (default) runs the corrector as tasks fused
+    with the repack; N runs it as an actor pool of N.
+
+    span_checkpoint: the join path consumes the exploded span stream in TWO
+    branches (media spans → join; other spans → passthrough), and a lazy
     Dataset re-executes its plan per consumer. With a directory given, the
     stream is checkpointed to parquet there once (streaming block-by-block
     write — disk/DFS-resident, resumable) and both branches read it back
@@ -95,67 +91,49 @@ def extract(
     read+explode — 2× source-read I/O, zero pin. Round 2 used
     ``materialize()`` here, which pinned the whole corpus-sized span stream
     in the object store — disqualifying at 100× scale.
-    ocr_compute: 'actors' (default) runs OCR as a sized actor pool;
-    'tasks' (dataflow mode only) runs it as elastic Ray tasks with a
-    per-worker-process engine cache (stages/ocr.py:page_ocr_batch) — OCR
-    then shares CPUs cooperatively with the dataflow operators, no pool
-    sizing and no starvation clamp. Right whenever engine setup is cheap
-    enough to pay once per worker process (mock/tesseract); keep 'actors'
-    for heavyweight engines (LLM clients with connection state).
     """
-    if media_resolution == "auto":
-        media_resolution = "broadcast" if pages is None else "dataflow"
-    ocr_tasks = ocr_compute == "tasks" and media_resolution == "dataflow"
-    if ocr_tasks:
-        skew_split_width = None  # elastic tasks self-balance; no pool split
+    if media_resolution not in ("auto", "dataflow"):
+        raise ValueError(f"unknown media_resolution {media_resolution!r}; "
+                         "expected 'auto' or 'dataflow'")
+    ocr_actors = pages is not None and ocr_compute != "tasks"
 
     # Deadlock guard: actor pools that reserve every CPU of the session
-    # starve the task operators (read/clean/sort/join aggregators) and the
-    # streaming executor stalls forever. Clamp the total actor budget to
-    # session CPUs minus task headroom, corrector pool included.
+    # starve the task operators (read/clean/join/groupby) and the streaming
+    # executor stalls forever. Clamp the actors (OCR pool in the actor form,
+    # corrector pool) to session CPUs minus task headroom; a corrector pool
+    # that still does not fit falls back to the task form.
     avail = int(ray.cluster_resources().get("CPU", 8))
     budget = max(1, avail - max(1, avail // 8))
     n_corr = 0 if corrector_concurrency is None else _int_concurrency(corrector_concurrency)
-    if skew_split_width is not None and media_resolution == "dataflow":
-        # the skew split opens a second pool of at least 1 actor
-        budget = max(1, budget - 1)
-    if not ocr_tasks and _int_concurrency(ocr_concurrency) + n_corr > budget:
-        ocr_concurrency = max(1, budget - n_corr)
-        if _int_concurrency(ocr_concurrency) + n_corr > budget:
-            corrector_concurrency = None  # fall back to task-form corrector
-    if (skew_split_width is not None
-            and _int_concurrency(ocr_concurrency) < 2):
-        skew_split_width = None  # too small for two pools
+    n_ocr = _int_concurrency(ocr_concurrency) if ocr_actors else 0
+    if n_ocr + n_corr > budget:
+        if ocr_actors:
+            ocr_concurrency = n_ocr = max(1, budget - n_corr)
+        if n_ocr + n_corr > budget:
+            corrector_concurrency = None
 
     exploded = docs.map_batches(explode_spans, batch_format="pyarrow")
 
-    if media_resolution == "dataflow":
-        # OCR is driven by the *pages* dataset: image bytes stream block-local
-        # through the actor pool and are never broadcast, looked up, or
-        # shuffled; the all-to-alls (join + groupby) move text only. The
-        # scalable default for media-heavy inputs.
+    if pages is None:
+        regions = exploded.map_batches(resolve_spans, batch_format="pyarrow")
+    else:
         if isinstance(pages, str):
-            pages_ds = ray.data.read_parquet(
-                _lpt_parquet_paths(pages),
-                columns=["media_ref", "image", "width", "height", "codec"])
+            pages_ds = ray.data.read_parquet(_lpt_parquet_paths(pages),
+                                             columns=PAGE_COLUMNS)
         elif isinstance(pages, Dataset):
-            pages_ds = pages.select_columns(
-                ["media_ref", "image", "width", "height", "codec"])
+            pages_ds = pages.select_columns(PAGE_COLUMNS)
         else:
-            pages_ds = ray.data.from_arrow(pages.select(
-                ["media_ref", "image", "width", "height", "codec"]))
-        # Optional explicit skew split (page-size histogram): wide pages go
-        # through a dedicated pool in batches 4× smaller. NOTE: the two
-        # filter branches read the pages source twice — only worth it when
-        # width predicates prune at the read (pages partitioned/row-grouped
-        # by width at ingest); otherwise small ocr_batch_size already bounds
-        # per-task cost variance (a 6-col broadsheet is ~6× a 1-col page),
-        # and the sharded pipeline handles skew by shard-count ≫ core-count.
-        if ocr_tasks:
-            from functools import partial
-
-            from ..stages.ocr import page_ocr_batch
-
+            pages_ds = ray.data.from_arrow(pages.select(PAGE_COLUMNS))
+        if ocr_actors:
+            media_texts = pages_ds.map_batches(
+                LayoutOcrStage,
+                fn_constructor_kwargs={"engine_factory": engine_factory},
+                batch_format="pyarrow",
+                batch_size=ocr_batch_size,
+                concurrency=ocr_concurrency,
+                num_cpus=1,
+            )
+        else:
             media_texts = pages_ds.map_batches(
                 partial(page_ocr_batch, engine_factory=engine_factory),
                 batch_format="pyarrow",
@@ -163,37 +141,12 @@ def extract(
                 # fuses ReadParquet->page_ocr_batch into ONE task op: image
                 # bytes never cross the object store at all
             )
-        elif skew_split_width is not None:
-            total = _int_concurrency(ocr_concurrency)
-            heavy_conc = max(1, total // 3)
-            light_conc = max(1, total - heavy_conc)
-            heavy = pages_ds.filter(expr=f"width >= {skew_split_width}")
-            light = pages_ds.filter(expr=f"width < {skew_split_width}")
-            kw = dict(fn_constructor_kwargs={"engine_factory": engine_factory},
-                      batch_format="pyarrow", num_cpus=1)
-            media_texts = light.map_batches(
-                PageOcrStage, batch_size=ocr_batch_size,
-                concurrency=light_conc, **kw
-            ).union(heavy.map_batches(
-                PageOcrStage, batch_size=max(1, ocr_batch_size // 4),
-                concurrency=heavy_conc, **kw))
-        else:
-            media_texts = pages_ds.map_batches(
-                PageOcrStage,
-                fn_constructor_kwargs={"engine_factory": engine_factory},
-                batch_format="pyarrow",
-                batch_size=ocr_batch_size,
-                concurrency=ocr_concurrency,
-                num_cpus=1,
-            )
         # Two consumers of the exploded stream (see span_checkpoint in the
         # docstring): parquet checkpoint when a dir is given, else per-branch
         # recompute. Never a full-stream materialize — that pins the
         # corpus-sized span stream in the object store.
         if span_checkpoint is not None:
-            import os as _os
-
-            ckpt = _os.path.join(span_checkpoint, "exploded_spans")
+            ckpt = os.path.join(span_checkpoint, "exploded_spans")
             exploded.write_parquet(ckpt)
             media_src = ray.data.read_parquet(
                 ckpt, columns=["doc_id", "in_offset", "kind", "media_ref"])
@@ -201,46 +154,19 @@ def extract(
         else:
             media_src = exploded
             rest_src = exploded
-        media_spans = media_src.filter(expr="kind == 'media'").select_columns(
-            ["doc_id", "in_offset", "media_ref"])
+        media_spans = media_src.map_batches(_media_keys, batch_format="pyarrow")
         # cluster-size-aware: at least the cluster-wide join default, but
         # never fewer partitions than the OCR pool can feed concurrently
         n_parts = max(scale.join_partitions(),
                       _int_concurrency(ocr_concurrency) // 6)
-        joined = media_spans.join(media_texts, join_type="left_outer",
-                                  num_partitions=n_parts, on=("media_ref",))
-        joined = joined.map_batches(_finalize_joined, batch_format="pyarrow")
+        joined = (media_spans
+                  .join(media_texts, join_type="left_outer",
+                        num_partitions=n_parts, on=("media_ref",))
+                  .filter(expr="is_valid(doc_id)")
+                  .map_batches(finalize_media, batch_format="pyarrow"))
         rest = rest_src.filter(expr="kind != 'media'").map_batches(
-            _passthrough_to_region, batch_format="pyarrow")
+            passthrough_spans, batch_format="pyarrow")
         regions = joined.union(rest)
-    elif media_resolution == "store" or isinstance(pages, str):
-        # Keyed media store: tiny broadcast index + per-actor shard LRU cache
-        # (the scale path — see sources.pagestore).
-        from ..sources.pagestore import build_page_index
-
-        index_ref = ray.put(build_page_index(pages))
-        regions = exploded.map_batches(
-            LayoutOcrStage,
-            fn_constructor_kwargs={"engine_factory": engine_factory,
-                                   "page_index_ref": index_ref},
-            batch_format="pyarrow",
-            batch_size=ocr_batch_size,
-            concurrency=ocr_concurrency,
-            num_cpus=1,
-        )
-    elif media_resolution == "broadcast":
-        pages_ref = ray.put(pages_to_dict(pages))
-        regions = exploded.map_batches(
-            LayoutOcrStage,
-            fn_constructor_kwargs={"engine_factory": engine_factory,
-                                   "pages_ref": pages_ref},
-            batch_format="pyarrow",
-            batch_size=ocr_batch_size,
-            concurrency=ocr_concurrency,
-            num_cpus=1,
-        )
-    else:
-        raise ValueError(f"unknown media_resolution {media_resolution!r}")
 
     cleaned = regions.map_batches(clean_batch, batch_format="pyarrow")
 
@@ -272,10 +198,6 @@ def extract(
     if corrector_concurrency is None:
         # task form: fuses with the repack stage and scales elastically on
         # CPUs the OCR actor pool leaves free (normalizer cached per process)
-        from functools import partial
-
-        from ..stages.correct import correct_batch
-
         return repacked.map_batches(
             partial(correct_batch, enabled=correction, emit_diff=emit_diff),
             batch_format="pyarrow", batch_size=256)
@@ -290,6 +212,16 @@ def extract(
     )
 
 
+def _media_keys(t: pa.Table) -> pa.Table:
+    """The join's left side: the media spans of a span batch. A batch with
+    none yields one all-null row instead — Ray's hash join learns the left
+    schema from the first block it shuffles and fails if that block is
+    empty. The null rows match nothing and are dropped after the join."""
+    media = t.filter(pc.equal(t["kind"], "media")).select(
+        ["doc_id", "in_offset", "media_ref"])
+    return media if media.num_rows else pa.Table.from_pylist([{}], media.schema)
+
+
 def _int_concurrency(c) -> int:
     return c[1] if isinstance(c, tuple) else int(c)
 
@@ -299,57 +231,12 @@ def _lpt_parquet_paths(path: str) -> "str | list[str]":
     same rationale as sharded.list_shards): read tasks are launched roughly
     in input order, so heavy page files land early and the final OCR wave
     holds only small ones — scheduling only, per-file results unchanged.
-    Non-directories (single file, remote URI) pass through untouched."""
-    import os as _os
-
-    if not _os.path.isdir(path):
+    Non-directories (single file, remote URI) and directories with
+    subdirectories (partitioned layouts) pass through untouched."""
+    if not os.path.isdir(path):
         return path
-    files = [_os.path.join(path, f) for f in _os.listdir(path)
-             if f.endswith(".parquet")]
-    if not files:
-        return path
-    return sorted(files, key=lambda p: -_os.path.getsize(p))
-
-
-def _finalize_joined(t: pa.Table) -> pa.Table:
-    """Post left-outer-join normalization: a media span with no matching page
-    row becomes a per-row error (empty text), never a job abort."""
-    import pyarrow.compute as pc
-
-    missing = pc.is_null(t["kind"])
-    err = pc.if_else(
-        missing,
-        pc.binary_join_element_wise(
-            pa.array(["MissingMedia"] * t.num_rows), t["media_ref"], ": "),
-        t["error"])
-    return pa.Table.from_arrays(
-        [
-            t["doc_id"],
-            t["in_offset"].cast(pa.int32()),
-            pc.fill_null(t["region_idx"], 0).cast(pa.int32()),
-            pc.fill_null(t["kind"], "text"),
-            pc.fill_null(t["text"], ""),
-            t["media_ref"],
-            err,
-            pc.fill_null(t["n_cols"], 0).cast(pa.int32()),
-        ],
-        names=REGION_COLS,
-    )
-
-
-def _passthrough_to_region(t: pa.Table) -> pa.Table:
-    """Text/empty spans → region rows (region_idx 0, no media)."""
-    n = t.num_rows
-    return pa.Table.from_arrays(
-        [
-            t["doc_id"],
-            t["in_offset"].cast(pa.int32()),
-            pa.array([0] * n, pa.int32()),
-            t["kind"],
-            t["text"],
-            t["media_ref"],
-            pa.nulls(n, pa.string()),
-            pa.array([0] * n, pa.int32()),
-        ],
-        names=REGION_COLS,
-    )
+    entries = [os.path.join(path, f) for f in os.listdir(path)]
+    files = [p for p in entries if p.endswith(".parquet") and os.path.isfile(p)]
+    if not files or any(os.path.isdir(p) for p in entries):
+        return path  # nested layout: let read_parquet walk the directory
+    return sorted(files, key=lambda p: -os.path.getsize(p))

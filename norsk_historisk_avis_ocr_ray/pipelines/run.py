@@ -22,7 +22,7 @@ import ray
 
 from ..stages.ocr import MockBarcodeOcr
 from ..state.manifest import Manifest
-from .sharded import cached_engine, list_shards, process_shard
+from .sharded import cached_engine, list_shards, load_shard, process_shard
 
 
 @ray.remote(num_cpus=1)
@@ -31,18 +31,7 @@ def _run_shard(shard: dict, out_dir: str, correction: bool,
     t0 = time.time()
     engine = cached_engine(engine_factory)  # once per worker process
     usage0 = dict(getattr(engine, "usage", None) or {})  # cross-shard baseline
-    docs = pq.read_table(shard["docs_file"])
-    pages: dict[str, tuple[bytes, int, int, str]] = {}
-    n_pages = 0
-    if shard["pages_file"]:
-        p = pq.read_table(shard["pages_file"],
-                          columns=["media_ref", "image", "width", "height",
-                                   "codec"])
-        n_pages = p.num_rows
-        pages = {r: (i, w, h, c) for r, i, w, h, c in zip(
-            p["media_ref"].to_pylist(), p["image"].to_pylist(),
-            p["width"].to_pylist(), p["height"].to_pylist(),
-            p["codec"].to_pylist())}
+    docs, pages = load_shard(shard)
     out = process_shard(docs, pages, engine, correction=correction,
                         emit_diff=emit_diff)
 
@@ -56,7 +45,7 @@ def _run_shard(shard: dict, out_dir: str, correction: bool,
     lineage = {
         "shard": shard["shard"],
         "docs_in": docs.num_rows,
-        "pages_in": n_pages,
+        "pages_in": 0 if pages is None else pages.num_rows,
         "docs_out": out.num_rows,
         "spans_out": n_spans,
         "errors": int(pa.compute.sum(out["n_errors"]).as_py() or 0),
@@ -96,7 +85,9 @@ def run_resumable(
     done = 0
     in_flight: dict[Any, str] = {}
     it = iter(pending)
-    limit = max_in_flight or int(ray.available_resources().get("CPU", 8))
+    # Sized from the session's total CPUs, not the free ones: a busy session
+    # must queue shards, not submit none.
+    limit = max_in_flight or max(1, int(ray.cluster_resources().get("CPU", 1)))
 
     def submit_next():
         name = next(it, None)
@@ -121,7 +112,8 @@ def run_resumable(
             # simulate a crash: abandon remaining work without committing
             for r in in_flight:
                 ray.cancel(r, force=True)
-            return {"committed": done, "pending_left": len(pending) - done,
+            return {"committed": done,
+                    "pending_left": len(manifest.pending(sorted(shards))),
                     "crashed": True}
         submit_next()
 
@@ -134,7 +126,9 @@ def run_resumable(
                   "tokens_in", "tokens_out", "api_calls", "api_retries")
     }
     totals["wall_s"] = round(sum(r.get("wall_s", 0.0) for r in records), 3)
-    return {"committed": done, "pending_left": 0, "crashed": False,
+    return {"committed": done,
+            "pending_left": len(manifest.pending(sorted(shards))),
+            "crashed": False,
             "total_shards": len(shards),
             "already_done": len(shards) - len(pending),
             "totals": totals}

@@ -16,8 +16,9 @@ don't satisfy it must use ``pipelines.extract.extract`` (the general
 shuffle-based pipeline); a cross-shard ``media_ref`` here degrades to a
 per-row MissingMedia error, never a wrong span sequence.
 
-The same per-shard function is the body of the resumable runner
-(``pipelines.run``): output is written per shard and committed to a manifest.
+The same loader and per-shard function (``load_shard`` → ``process_shard``)
+are the body of the resumable runner (``pipelines.run``): output is written
+per shard and committed to a manifest.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from ray.data import Dataset
 from ..functions.textops import clean_batch
 from ..stages.correct import CorrectorStage
 from ..stages.explode import explode_spans
-from ..stages.ocr import LayoutOcrStage, MockBarcodeOcr
+from ..stages.ocr import (PAGE_COLUMNS, MockBarcodeOcr, cached_engine,
+                          ocr_pages, resolve_spans)
 from ..stages.repack import repack_table
 
 
@@ -47,7 +49,10 @@ def list_shards(corpus_dir: str) -> list[dict]:
     time) at the front means the final wave holds only small shards — the
     straggler tail that otherwise idles ``ncpu - 1`` cores for one big-shard
     duration shrinks to a small-shard duration. Pure scheduling; per-shard
-    results are unchanged and the output order was never guaranteed."""
+    results are unchanged and the output order was never guaranteed.
+
+    A subdirectory under documents/ raises ``ValueError``: its files are not
+    shards of this layout, and skipping them would drop their documents."""
     docs_dir = os.path.join(corpus_dir, "documents")
     pages_dir = os.path.join(corpus_dir, "pages")
     pages = {}
@@ -57,9 +62,13 @@ def list_shards(corpus_dir: str) -> list[dict]:
                 pages[f] = os.path.join(pages_dir, f)
     shards = []
     for f in sorted(os.listdir(docs_dir)):
+        path = os.path.join(docs_dir, f)
+        if os.path.isdir(path):
+            raise ValueError(f"nested directory {path!r} under documents/; "
+                             "shards must be flat part files")
         if f.endswith(".parquet"):
             shards.append({"shard": f.rsplit(".", 1)[0],
-                           "docs_file": os.path.join(docs_dir, f),
+                           "docs_file": path,
                            "pages_file": pages.get(f, "")})
     def weight(s: dict) -> int:
         try:
@@ -71,69 +80,36 @@ def list_shards(corpus_dir: str) -> list[dict]:
     return shards
 
 
+def load_shard(shard: dict) -> tuple[pa.Table, pa.Table | None]:
+    """One ``list_shards`` entry → (documents, pages or None)."""
+    docs = pq.read_table(shard["docs_file"])
+    if not shard["pages_file"]:
+        return docs, None
+    return docs, pq.read_table(shard["pages_file"], columns=PAGE_COLUMNS)
+
+
 def process_shard(
     docs: pa.Table,
-    pages: dict[str, tuple[bytes, int, int, str]],
+    pages: pa.Table | None,
     engine: Any,
     correction: bool = True,
     emit_diff: bool = True,
-    overlap_px: int = 20,
 ) -> pa.Table:
     """The full extraction for one co-partitioned shard, in-process."""
-    stage = LayoutOcrStage.__new__(LayoutOcrStage)  # engine supplied, no ray.get
-    stage.engine = engine
-    stage.overlap_px = overlap_px
-    stage.pages = pages
-    stage.store = None
-    regions = clean_batch(stage(explode_spans(docs)))
+    page_regions = None if pages is None else ocr_pages(pages, engine)
+    regions = clean_batch(resolve_spans(explode_spans(docs), page_regions))
     repacked = repack_table(regions)
     return CorrectorStage(enabled=correction, emit_diff=emit_diff)(repacked)
-
-
-_ENGINE_CACHE: dict[str, Any] = {}
-
-
-def _factory_key(factory: Callable[[], Any]) -> str:
-    """Stable per-worker cache key for an engine factory. ``id()`` is useless
-    here: remote-task arguments are deserialized fresh per task, so identity
-    never repeats — key on the factory's qualified name (+ partial kwargs)."""
-    f = getattr(factory, "func", factory)  # unwrap functools.partial
-    kw = getattr(factory, "keywords", None) or {}
-    return (f"{getattr(f, '__module__', '?')}.{getattr(f, '__qualname__', repr(f))}"
-            f"|{sorted(kw.items())!r}")
-
-
-def cached_engine(engine_factory: Callable[[], Any]) -> Any:
-    """Construct + ``load()`` the engine once per worker process."""
-    key = _factory_key(engine_factory)
-    engine = _ENGINE_CACHE.get(key)
-    if engine is None:
-        engine = engine_factory()
-        engine.load()
-        _ENGINE_CACHE[key] = engine
-    return engine
 
 
 def _shard_task_fn(engine_factory: Callable[[], Any], correction: bool,
                    emit_diff: bool):
     def fn(batch: pa.Table) -> pa.Table:
         engine = cached_engine(engine_factory)
-        outs = []
-        for row in batch.to_pylist():
-            docs = pq.read_table(row["docs_file"])
-            pages: dict[str, tuple[bytes, int, int, str]] = {}
-            if row["pages_file"]:
-                p = pq.read_table(row["pages_file"],
-                                  columns=["media_ref", "image", "width",
-                                           "height", "codec"])
-                pages = {r: (i, w, h, c) for r, i, w, h, c in zip(
-                    p["media_ref"].to_pylist(), p["image"].to_pylist(),
-                    p["width"].to_pylist(), p["height"].to_pylist(),
-                    p["codec"].to_pylist())}
-            outs.append(process_shard(docs, pages, engine,
-                                      correction=correction,
-                                      emit_diff=emit_diff))
-        return pa.concat_tables(outs)
+        return pa.concat_tables([
+            process_shard(*load_shard(shard), engine, correction=correction,
+                          emit_diff=emit_diff)
+            for shard in batch.to_pylist()])
     return fn
 
 

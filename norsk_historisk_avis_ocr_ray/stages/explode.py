@@ -34,7 +34,7 @@ def explode_spans(tbl: pa.Table) -> pa.Table:
         [
             pc.take(doc_ids, parent),
             pc.struct_field(flat, "offset").cast(pa.int32()),
-            pc.struct_field(flat, "kind"),
+            pc.fill_null(pc.struct_field(flat, "kind"), ""),
             pc.fill_null(pc.struct_field(flat, "text"), ""),
             pc.fill_null(pc.struct_field(flat, "media_ref"), ""),
         ],

@@ -154,12 +154,6 @@ def find_gap_boundaries(
         # local within g-1 pixels.
         c0 = max(0, w_lo - half_w - (g - 1))
         c1 = min(seg_width, w_hi + 1 + half_w + (g - 1))
-        # Row-slab processing: every op here is per-row along x (no vertical
-        # coupling), so rows are processed in 128-row slabs whose temporaries
-        # (~400 KB) stay L2-resident — DRAM traffic per boundary drops to the
-        # raw image read.  The layout stage is bandwidth-bound at high core
-        # counts (this VM's scaling ceiling; see BASELINE.md).  int16
-        # accumulators: cumsums along the slice never exceed its width.
         sw = c1 - c0
         nok = sw - g + 1  # in-slice all-light windows [k, k+g), k in [0, sw-g]
         # Window membership via shifted boolean reductions, not cumsum scans:

@@ -1,21 +1,23 @@
-"""OCR engines and the fused layout+OCR actor stage.
+"""OCR engines and the page kernel.
 
 Engine plugin surface (the analogue of the reference's engine registry,
 ``engines/__init__.py:4-16`` + the ``process_file`` protocol, ``CLAUDE.md``):
-an ``OcrEngine`` has ``load()`` (called once per actor — model/language data
-is per-worker state, reference M1/M2) and ``ocr_region(img) -> str``.
+an ``OcrEngine`` has ``load()`` (called once per actor or worker process —
+model/language data is per-worker state, reference M1/M2) and
+``ocr_region(img) -> str``.
 
-``LayoutOcrStage`` is the hot stateful stage: a callable class passed to
-``map_batches(..., concurrency=N)`` so Ray runs it as an actor pool. Per
-batch it resolves media payloads, runs layout analysis (``stages.layout``),
-crops regions and OCRs each — emitting *text-only* region rows so no image
-bytes ever enter the downstream stream or the ``groupby(doc_id)`` shuffle
-(the reference's per-file sequential loop is ``tesseract_engine.py:152-178``).
+``ocr_pages`` is the one page kernel: per page it decodes the payload, runs
+layout analysis (``stages.layout``), crops regions and OCRs each, emitting
+*text-only* region rows keyed by ``media_ref`` — no image bytes ever enter
+the downstream stream or the reading-order shuffle (the reference's per-file
+sequential loop is ``tesseract_engine.py:152-178``). ``LayoutOcrStage``
+(actor pool) and ``page_ocr_batch`` (elastic tasks) are its Ray forms, and
+``resolve_spans`` joins span rows to its output in process.
 
 Error policy (fixes reference behavior where one API error aborts the whole
-file, ``claude_vision_engine.py:320-321``): any per-row failure emits a row
-with an ``error`` message and empty text — the job never aborts, and lineage
-counts errors per partition.
+file, ``claude_vision_engine.py:320-321``): any per-page or per-span failure
+emits a row with an ``error`` message and empty text — the job never aborts,
+and repack counts errors per document.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from typing import Any, Callable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..sources.codec import decode_image, decode_with_band_profiles
+from ..sources.codec import decode_with_band_profiles
 from ..synth import barcode
-from .layout import DARK_THRESHOLD, OVERLAP_PX, split_columns
+from .layout import DARK_THRESHOLD, split_columns
 
 
 class MockBarcodeOcr:
@@ -109,201 +112,159 @@ def get_engine(name: str) -> Callable[[], Any]:
         raise KeyError(f"unknown OCR engine {name!r}; known: {sorted(ENGINES)}")
 
 
-OUT_FIELDS = [
-    ("doc_id", pa.string()),
-    ("in_offset", pa.int32()),
+_ENGINE_CACHE: dict[str, Any] = {}
+
+
+def _factory_key(factory: Callable[[], Any]) -> str:
+    """Stable per-worker cache key for an engine factory. ``id()`` is useless
+    here: remote-task arguments are deserialized fresh per task, so identity
+    never repeats — key on the factory's qualified name (+ partial kwargs)."""
+    f = getattr(factory, "func", factory)  # unwrap functools.partial
+    kw = getattr(factory, "keywords", None) or {}
+    return (f"{getattr(f, '__module__', '?')}.{getattr(f, '__qualname__', repr(f))}"
+            f"|{sorted(kw.items())!r}")
+
+
+def cached_engine(engine_factory: Callable[[], Any]) -> Any:
+    """Construct + ``load()`` the engine once per worker process."""
+    key = _factory_key(engine_factory)
+    engine = _ENGINE_CACHE.get(key)
+    if engine is None:
+        engine = engine_factory()
+        engine.load()
+        _ENGINE_CACHE[key] = engine
+    return engine
+
+
+PAGE_COLUMNS = ["media_ref", "image", "width", "height", "codec"]
+
+PAGE_REGION_FIELDS = [
+    ("media_ref", pa.string()),
     ("region_idx", pa.int32()),
     ("kind", pa.string()),
     ("text", pa.string()),
-    ("media_ref", pa.string()),
     ("error", pa.string()),
     ("n_cols", pa.int32()),
 ]
-OUT_SCHEMA = pa.schema(OUT_FIELDS)
+PAGE_REGION_SCHEMA = pa.schema(PAGE_REGION_FIELDS)
+
+
+def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
+    """The page kernel: page rows (``PAGE_COLUMNS``) → text-only region rows
+    keyed by ``media_ref`` (``PAGE_REGION_SCHEMA``), one per layout region.
+
+    Every pipeline OCRs through this loop; span rows are resolved against its
+    output with a left join on ``media_ref`` (``resolve_spans``). A page that
+    fails to decode, lay out or OCR yields one error row (empty text) and
+    none of its regions — never a job abort.
+    """
+    cols: list[list] = [[] for _ in PAGE_REGION_FIELDS]
+    page_rows = zip(*(pages[c].to_pylist() for c in PAGE_COLUMNS))
+    for ref, buf, w, h, codec in page_rows:
+        try:
+            img, profiles = decode_with_band_profiles(
+                buf, w, h, codec or "raw-zlib", threshold=DARK_THRESHOLD)
+            layout = split_columns(img, band_profiles=profiles)
+            rows = [(ref, region_idx, "text",
+                     engine.ocr_region(img[y0:y1, x0:x1], region_kind=kind,
+                                       n_cols=layout.n_cols),
+                     None, layout.n_cols)
+                    for region_idx, (kind, (x0, y0, x1, y1))
+                    in enumerate(layout.regions)]
+        except Exception as e:  # per-page error row, never job abort
+            rows = [(ref, 0, "text", "", f"{type(e).__name__}: {e}", 0)]
+        for row in rows:
+            for c, v in zip(cols, row):
+                c.append(v)
+    arrays = [pa.array(c, type=f[1]) for c, f in zip(cols, PAGE_REGION_FIELDS)]
+    return pa.Table.from_arrays(arrays, schema=PAGE_REGION_SCHEMA)
 
 
 class LayoutOcrStage:
-    """Actor-pool stage: exploded span rows → OCR'd region rows.
+    """Actor-pool form of ``ocr_pages``: a callable class passed to
+    ``map_batches(..., concurrency=N)`` over the pages dataset, so the engine
+    is constructed and loaded once per actor."""
 
-    Parameters
-    ----------
-    engine_factory : callable returning an OcrEngine (constructed + loaded
-        once per actor).
-    pages_ref : ``ray.ObjectRef`` of a dict ``media_ref -> (bytes, w, h, codec)``
-        (broadcast media resolution: ``ray.put`` once on the driver, fetched
-        zero-copy from the local object store per actor), or None when the
-        batch already carries ``image/width/height/codec`` columns (join-based
-        resolution for page tables too big to broadcast).
-    """
-
-    def __init__(
-        self,
-        engine_factory: Callable[[], Any] = MockBarcodeOcr,
-        pages_ref: Any = None,
-        page_index_ref: Any = None,
-        overlap_px: int = OVERLAP_PX,
-    ):
+    def __init__(self, engine_factory: Callable[[], Any] = MockBarcodeOcr):
         self.engine = engine_factory()
         self.engine.load()
-        self.overlap_px = overlap_px
-        self.pages: dict[str, tuple[bytes, int, int, str]] | None = None
-        self.store = None
-        if pages_ref is not None:
-            import ray
-
-            self.pages = ray.get(pages_ref)
-        elif page_index_ref is not None:
-            import ray
-
-            from ..sources.pagestore import PageStore
-
-            self.store = PageStore(ray.get(page_index_ref))
-
-    # -- helpers -------------------------------------------------------------
-
-    def _payload(self, row: dict) -> tuple[bytes, int, int, str]:
-        ref = row["media_ref"]
-        if self.pages is not None:
-            if ref not in self.pages:
-                raise KeyError(f"media_ref not found: {ref!r}")
-            return self.pages[ref]
-        if self.store is not None:
-            return self.store.get(ref)
-        if row.get("image") is None:
-            raise KeyError(f"media_ref unresolved (no image payload): {ref!r}")
-        return row["image"], row["width"], row["height"], row.get("codec") or "raw-zlib"
-
-    def _process_media(self, row: dict, out: "_RowSink") -> None:
-        buf, width, height, codec = self._payload(row)
-        img, profiles = decode_with_band_profiles(
-            buf, width, height, codec, threshold=DARK_THRESHOLD)
-        layout = split_columns(img, overlap_px=self.overlap_px,
-                               band_profiles=profiles)
-        for region_idx, (kind, (x0, y0, x1, y1)) in enumerate(layout.regions):
-            text = self.engine.ocr_region(img[y0:y1, x0:x1],
-                                          region_kind=kind,
-                                          n_cols=layout.n_cols)
-            out.add(row["doc_id"], row["in_offset"], region_idx, "text", text,
-                    row["media_ref"], None, layout.n_cols)
-
-    # -- batch entry ----------------------------------------------------------
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = _RowSink()
-        cols = {name: batch[name].to_pylist() for name in batch.column_names}
-        n = batch.num_rows
-        for i in range(n):
-            row = {name: cols[name][i] for name in cols}
-            kind = row["kind"]
-            if kind == "media":
-                try:
-                    self._process_media(row, out)
-                except Exception as e:  # per-row error column, never job abort
-                    out.add(row["doc_id"], row["in_offset"], 0, "text", "",
-                            row["media_ref"], f"{type(e).__name__}: {e}", 0)
-            elif kind == "empty":
-                out.add(row["doc_id"], row["in_offset"], 0, "empty", "", "", None, 0)
-            else:  # passthrough text span
-                out.add(row["doc_id"], row["in_offset"], 0, "text",
-                        row["text"] or "", "", None, 0)
-        return out.table()
-
-
-PAGE_OUT_FIELDS = [
-    ("media_ref", pa.string()),
-    ("region_idx", pa.int32()),
-    ("kind", pa.string()),
-    ("text", pa.string()),
-    ("error", pa.string()),
-    ("n_cols", pa.int32()),
-]
-PAGE_OUT_SCHEMA = pa.schema(PAGE_OUT_FIELDS)
-
-
-class PageOcrStage:
-    """Actor-pool stage over the *pages* dataset itself (the dataflow media
-    mode): each batch row carries its own image bytes (zero-copy from the
-    object store), so no broadcast table and no keyed lookups — the scalable
-    default. Emits text-only region rows keyed by ``media_ref``; the pipeline
-    joins them back to the documents' media spans (a text-only hash join).
-    """
-
-    def __init__(self, engine_factory: Callable[[], Any] = MockBarcodeOcr,
-                 overlap_px: int = OVERLAP_PX):
-        self.engine = engine_factory()
-        self.engine.load()
-        self.overlap_px = overlap_px
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch["media_ref"].to_pylist()
-        imgs = batch["image"].to_pylist()
-        widths = batch["width"].to_pylist()
-        heights = batch["height"].to_pylist()
-        codecs = batch["codec"].to_pylist()
-        cols: list[list] = [[] for _ in PAGE_OUT_FIELDS]
-
-        def add(*values):
-            for c, v in zip(cols, values):
-                c.append(v)
-
-        for ref, buf, w, h, codec in zip(refs, imgs, widths, heights, codecs):
-            try:
-                img, profiles = decode_with_band_profiles(
-                    buf, w, h, codec or "raw-zlib", threshold=DARK_THRESHOLD)
-                layout = split_columns(img, overlap_px=self.overlap_px,
-                                       band_profiles=profiles)
-                for region_idx, (kind, (x0, y0, x1, y1)) in enumerate(layout.regions):
-                    text = self.engine.ocr_region(img[y0:y1, x0:x1],
-                                                  region_kind=kind,
-                                                  n_cols=layout.n_cols)
-                    add(ref, region_idx, "text", text, None, layout.n_cols)
-            except Exception as e:  # per-row error, never job abort
-                add(ref, 0, "text", "", f"{type(e).__name__}: {e}", 0)
-        arrays = [pa.array(c, type=f[1]) for c, f in zip(cols, PAGE_OUT_FIELDS)]
-        return pa.Table.from_arrays(arrays, schema=PAGE_OUT_SCHEMA)
-
-
-_PROCESS_PAGE_STAGE: dict[tuple, PageOcrStage] = {}
+        return ocr_pages(batch, self.engine)
 
 
 def page_ocr_batch(batch: pa.Table,
-                   engine_factory: Callable[[], Any] = MockBarcodeOcr,
-                   overlap_px: int = OVERLAP_PX) -> pa.Table:
-    """Task-form PageOcrStage: per-worker-process cached engine.
-
-    Same semantics as the actor-pool form, but scheduled as elastic Ray
-    tasks — OCR work shares the session's CPUs with the dataflow operators
-    (read / join / groupby aggregators) instead of carving out a static
-    actor pool, so no pool-size tuning and no starvation clamp. The engine
-    loads once per worker *process* (cache keyed by factory class), exactly
-    the `correct_batch` pattern in stages/correct.py.
-
-    Engine factories that are not plain classes (closures, partials) don't
-    key a stable per-process cache across task deserializations — use the
-    actor-pool form for those, or for engines whose setup is too heavy to
-    pay once per worker process.
-    """
-    key = (engine_factory if isinstance(engine_factory, type) else None,
-           overlap_px)
-    stage = _PROCESS_PAGE_STAGE.get(key) if key[0] is not None else None
-    if stage is None:
-        stage = PageOcrStage(engine_factory, overlap_px)
-        if key[0] is not None:
-            _PROCESS_PAGE_STAGE[key] = stage
-    return stage(batch)
+                   engine_factory: Callable[[], Any] = MockBarcodeOcr) -> pa.Table:
+    """Task form of ``ocr_pages``: the engine is cached per worker process
+    (``cached_engine``), so OCR runs as elastic Ray tasks that share the
+    session's CPUs with the dataflow operators — no pool to size. Keep the
+    actor form for engines whose setup is too heavy to pay once per worker
+    process, or whose factory is a closure (closures of one qualified name
+    share a cache key)."""
+    return ocr_pages(batch, cached_engine(engine_factory))
 
 
-class _RowSink:
-    def __init__(self):
-        self.cols: list[list] = [[] for _ in OUT_FIELDS]
+REGION_COLS = ["doc_id", "in_offset", "region_idx", "kind", "text",
+               "media_ref", "error", "n_cols"]
 
-    def add(self, *values) -> None:
-        for c, v in zip(self.cols, values):
-            c.append(v)
 
-    def table(self) -> pa.Table:
-        arrays = [pa.array(c, type=f[1]) for c, f in zip(self.cols, OUT_FIELDS)]
-        return pa.Table.from_arrays(arrays, schema=OUT_SCHEMA)
+def finalize_media(t: pa.Table) -> pa.Table:
+    """Media spans left-joined with page regions → region rows. A span whose
+    page is missing becomes one ``MissingMedia: <ref>`` error row (empty
+    text), never a job abort."""
+    missing = pc.is_null(t["kind"])
+    err = pc.if_else(
+        missing,
+        pc.binary_join_element_wise("MissingMedia", t["media_ref"], ": "),
+        t["error"])
+    return pa.Table.from_arrays(
+        [
+            t["doc_id"],
+            t["in_offset"].cast(pa.int32()),
+            pc.fill_null(t["region_idx"], 0).cast(pa.int32()),
+            pc.fill_null(t["kind"], "text"),
+            pc.fill_null(t["text"], ""),
+            t["media_ref"],
+            err,
+            pc.fill_null(t["n_cols"], 0).cast(pa.int32()),
+        ],
+        names=REGION_COLS,
+    )
+
+
+def passthrough_spans(t: pa.Table) -> pa.Table:
+    """Non-media spans → region rows: ``empty`` sentinels stay ``empty``,
+    every other kind becomes a ``text`` region with no ``media_ref``."""
+    n = t.num_rows
+    empty = pc.equal(t["kind"], "empty")
+    return pa.Table.from_arrays(
+        [
+            t["doc_id"],
+            t["in_offset"].cast(pa.int32()),
+            pa.array([0] * n, pa.int32()),
+            pc.if_else(empty, "empty", "text"),
+            pc.if_else(empty, "", t["text"]),
+            pa.array([""] * n, pa.string()),
+            pa.nulls(n, pa.string()),
+            pa.array([0] * n, pa.int32()),
+        ],
+        names=REGION_COLS,
+    )
+
+
+def resolve_spans(spans: pa.Table, page_regions: pa.Table | None = None) -> pa.Table:
+    """Exploded span rows + ``ocr_pages`` output → region rows, in process:
+    a local left join of the media spans on ``media_ref``. With no page
+    regions every media span is ``MissingMedia``."""
+    if page_regions is None:
+        page_regions = PAGE_REGION_SCHEMA.empty_table()
+    is_media = pc.equal(spans["kind"], "media")
+    media = spans.filter(is_media).select(["doc_id", "in_offset", "media_ref"])
+    # one shard per worker CPU already: no Arrow thread pool for the join
+    joined = media.join(page_regions, "media_ref", join_type="left outer",
+                        use_threads=False)
+    return pa.concat_tables([finalize_media(joined),
+                             passthrough_spans(spans.filter(pc.invert(is_media)))])
 
 
 register_engine(MockBarcodeOcr.name, MockBarcodeOcr)

@@ -209,13 +209,13 @@ def test_engine_registered():
 
 
 def test_engine_in_actor_pool_stage(ray_session):
-    """The vision engine runs through PageOcrStage's actor pool with a fake
+    """The vision engine runs through LayoutOcrStage's actor pool with a fake
     client — the Ray plumbing (constructor kwargs, per-actor load) is real."""
     import pyarrow as pa
 
     import ray
     from norsk_historisk_avis_ocr_ray.sources.codec import encode_image
-    from norsk_historisk_avis_ocr_ray.stages.ocr import PageOcrStage
+    from norsk_historisk_avis_ocr_ray.stages.ocr import LayoutOcrStage
 
     img = np.full((60, 80), 230, np.uint8)
 
@@ -262,7 +262,7 @@ def test_engine_in_actor_pool_stage(ray_session):
         "codec": pa.array(["raw-zlib"] * 2, pa.string()),
     })
     out = (ray.data.from_arrow(pages)
-           .map_batches(PageOcrStage,
+           .map_batches(LayoutOcrStage,
                         fn_constructor_kwargs={"engine_factory": factory},
                         batch_format="pyarrow", batch_size=4, concurrency=1,
                         num_cpus=1)

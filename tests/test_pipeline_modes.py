@@ -1,5 +1,6 @@
-"""All media-resolution modes and the shard-local pipeline must produce the
-same golden span sequences as the broadcast-mode pipeline."""
+"""Every form of the join pipeline (actor/task OCR, span checkpoint, actor
+corrector) and the shard-local pipeline must produce the golden span
+sequences, and all paths must agree span for span."""
 
 import pyarrow as pa
 import pytest
@@ -48,14 +49,6 @@ def _docs_pages(corpus_dir):
     return docs, pages
 
 
-def test_store_mode(corpus_dir, tmp_path):
-    # store mode wants a pages directory — reuse the single parquet file
-    docs, _ = _docs_pages(corpus_dir)
-    out = extract(docs, f"{corpus_dir}/pages.parquet", ocr_concurrency=2,
-                  media_resolution="store")
-    check(out, corpus_dir)
-
-
 def test_dataflow_mode(corpus_dir):
     docs, pages = _docs_pages(corpus_dir)
     out = extract(docs, pages, ocr_concurrency=2, media_resolution="dataflow")
@@ -72,20 +65,17 @@ def test_dataflow_task_form_ocr(corpus_dir):
 
 
 def test_page_ocr_batch_matches_stage(corpus_dir):
-    # task-form wrapper == actor stage, for class factories (cached) and
-    # non-class factories (uncached fallback path) alike — no Ray involved
+    # task-form wrapper == actor stage, for class factories and partials
+    # alike — no Ray involved
     from functools import partial
 
     import pyarrow.parquet as pq
     from norsk_historisk_avis_ocr_ray.stages.ocr import (
-        MockBarcodeOcr, PageOcrStage, page_ocr_batch)
+        PAGE_COLUMNS, LayoutOcrStage, MockBarcodeOcr, page_ocr_batch)
 
-    t = pq.read_table(f"{corpus_dir}/pages.parquet",
-                      columns=["media_ref", "image", "width", "height",
-                               "codec"])
-    want = PageOcrStage()(t)
+    t = pq.read_table(f"{corpus_dir}/pages.parquet", columns=PAGE_COLUMNS)
+    want = LayoutOcrStage()(t)
     assert page_ocr_batch(t).equals(want)
-    # partial() is not a type -> constructed per call, same output
     assert page_ocr_batch(t, engine_factory=partial(MockBarcodeOcr)).equals(
         want)
 
@@ -99,13 +89,6 @@ def test_dataflow_span_checkpoint(corpus_dir, tmp_path):
     check(out, corpus_dir)
     import os
     assert os.path.isdir(str(tmp_path / "exploded_spans"))  # durable artifact
-
-
-def test_dataflow_skew_split(corpus_dir):
-    docs, pages = _docs_pages(corpus_dir)
-    out = extract(docs, pages, ocr_concurrency=2, media_resolution="dataflow",
-                  skew_split_width=2400)
-    check(out, corpus_dir)
 
 
 def test_sharded(corpus_dir, tmp_path):
@@ -129,6 +112,120 @@ def test_actor_corrector_matches_task_corrector(corpus_dir):
     docs, pages = _docs_pages(corpus_dir)
     out = extract(docs, pages, ocr_concurrency=1, corrector_concurrency=2)
     check(out, corpus_dir)
+
+
+def _copart(corpus_dir, d, docs):
+    """Single-shard co-partitioned copy of ``docs`` + the corpus pages."""
+    import os
+    import pyarrow.parquet as pq
+    os.makedirs(f"{d}/pages")
+    os.makedirs(f"{d}/documents")
+    pq.write_table(docs, f"{d}/documents/part-0000.parquet")
+    pq.write_table(pq.read_table(f"{corpus_dir}/pages.parquet"),
+                   f"{d}/pages/part-0000.parquet")
+    return d
+
+
+def _rows(ds):
+    return sorted(pa.Table.from_pandas(ds.to_pandas()).to_pylist(),
+                  key=lambda r: r["doc_id"])
+
+
+def test_span_semantics_agree_across_paths(corpus_dir, tmp_path):
+    # non-media spans become plain text regions with no media_ref on every
+    # path — including a text span that names a page of the pages table
+    import pyarrow.parquet as pq
+    from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA
+
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet")
+    refs = pages["media_ref"].to_pylist()
+    pages = pages.set_column(pages.schema.get_field_index("media_ref"),
+                             "media_ref", pa.array(["page-7"] + refs[1:]))
+    docs = pa.Table.from_pylist([
+        {"doc_id": "d-text-ref", "spans": [
+            {"kind": "text", "text": "hello", "media_ref": "page-7", "offset": 0},
+            {"kind": "caption", "text": "odd kind", "media_ref": "", "offset": 1},
+            {"kind": None, "text": "no kind", "media_ref": None, "offset": 2},
+        ]},
+        {"doc_id": "d-empty", "spans": []},
+    ], schema=DOCUMENTS_SCHEMA)
+    d = _copart(corpus_dir, str(tmp_path / "copart"), docs)
+    pq.write_table(pages, f"{d}/pages/part-0000.parquet")
+
+    sharded = _rows(extract_sharded(d))
+    joined = _rows(extract(ray.data.from_arrow(docs), pages, ocr_concurrency=1))
+    text_only = _rows(extract(ray.data.from_arrow(docs), None))
+    assert sharded == joined == text_only
+    spans = sharded[1]["spans"]
+    assert [(s["text"], s["media_ref"]) for s in spans] == [
+        ("hello", ""), ("odd kind", ""), ("no kind", "")]
+    assert sharded[0]["spans"] == [] and sharded[0]["n_errors"] == 0
+
+
+def test_missing_page_is_a_row_error_on_every_path(corpus_dir, tmp_path):
+    import pyarrow.parquet as pq
+    from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA
+
+    docs = pa.Table.from_pylist([{"doc_id": "d-missing", "spans": [
+        {"kind": "media", "text": "", "media_ref": "no-such-page", "offset": 0},
+        {"kind": "text", "text": "kept", "media_ref": "", "offset": 1},
+    ]}], schema=DOCUMENTS_SCHEMA)
+    d = _copart(corpus_dir, str(tmp_path / "copart"), docs)
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet")
+    for rows in (_rows(extract_sharded(d)),
+                 _rows(extract(ray.data.from_arrow(docs), pages)),
+                 _rows(extract(ray.data.from_arrow(docs), None))):
+        assert rows[0]["n_errors"] == 1
+        assert [s["text"] for s in rows[0]["spans"]] == ["", "kept"]
+
+
+def test_unknown_media_resolution_raises(corpus_dir):
+    docs, pages = _docs_pages(corpus_dir)
+    with pytest.raises(ValueError, match="media_resolution"):
+        extract(docs, pages, media_resolution="broadcast")
+
+
+def test_task_ocr_with_oversized_corrector_pool_finishes(corpus_dir):
+    # 4 corrector actors exceed the 4-CPU session's actor budget: the guard
+    # must fall back to the task-form corrector instead of starving the
+    # task operators; a stall fails the deadline instead of hanging
+    import threading
+
+    docs, pages = _docs_pages(corpus_dir)
+    out = extract(docs, pages, ocr_compute="tasks", corrector_concurrency=4)
+    done = {}
+    t = threading.Thread(target=lambda: done.setdefault("rows", out.to_pandas()),
+                         daemon=True)
+    t.start()
+    t.join(timeout=300)
+    assert "rows" in done, "pipeline stalled"
+    check(ray.data.from_pandas(done["rows"]), corpus_dir)
+
+
+def test_nested_pages_directory_keeps_every_page(corpus_dir, tmp_path):
+    # half the pages in a subdirectory (a partitioned layout): none may be
+    # dropped by the largest-file-first listing
+    import os
+    import pyarrow.parquet as pq
+
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet")
+    half = pages.num_rows // 2
+    d = tmp_path / "pages"
+    os.makedirs(d / "extra")
+    pq.write_table(pages.slice(0, half), str(d / "part-0000.parquet"))
+    pq.write_table(pages.slice(half), str(d / "extra" / "part-0001.parquet"))
+    docs, _ = _docs_pages(corpus_dir)
+    check(extract(docs, str(d), ocr_concurrency=1), corpus_dir)
+
+
+def test_nested_documents_directory_raises(tmp_path):
+    import os
+    from norsk_historisk_avis_ocr_ray.pipelines.sharded import list_shards
+
+    os.makedirs(tmp_path / "documents" / "part-0001")
+    (tmp_path / "documents" / "part-0000.parquet").write_bytes(b"")
+    with pytest.raises(ValueError, match="part-0001"):
+        list_shards(str(tmp_path))
 
 
 def test_read_documents_jsonl_and_csv(ray_session, tmp_path):

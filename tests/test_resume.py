@@ -32,12 +32,12 @@ def test_crash_and_resume_is_equivalent(copart_dir, tmp_path):
 
     crash_out = str(tmp_path / "crashy")
     s1 = run_resumable(copart_dir, crash_out, fail_after=2, max_in_flight=2)
-    assert s1["crashed"] and s1["committed"] == 2
+    assert s1["crashed"] and s1["committed"] == 2 and s1["pending_left"] == 4
 
     s2 = run_resumable(copart_dir, crash_out)
     assert not s2["crashed"]
     assert s2["already_done"] == 2
-    assert s2["committed"] == 4
+    assert s2["committed"] == 4 and s2["pending_left"] == 0
 
     assert read_all(clean_out) == read_all(crash_out)
 
@@ -59,3 +59,27 @@ def test_lineage_records(copart_dir, tmp_path):
         assert 0 < r["docs_out"] <= r["docs_in"]  # dup doc_ids dedupe on ingest
         assert r["spans_out"] >= 0 and r["wall_s"] >= 0
         assert os.path.exists(r["output"])
+
+
+def test_less_than_one_free_cpu_still_commits_every_shard(copart_dir, tmp_path):
+    # an actor holds 3.5 of the session's 4 CPUs when the run starts: the
+    # shards must queue behind it, not be skipped
+    import threading
+    import time
+
+    import ray
+
+    @ray.remote(num_cpus=3.5)
+    class Hog:
+        def ready(self):
+            return True
+
+    hog = Hog.remote()
+    ray.get(hog.ready.remote())
+    deadline = time.time() + 30
+    while ray.available_resources().get("CPU", 0) >= 1:
+        assert time.time() < deadline
+        time.sleep(0.1)
+    threading.Timer(2.0, ray.kill, args=(hog,)).start()
+    s = run_resumable(copart_dir, str(tmp_path / "out"))
+    assert s["committed"] == 6 and s["pending_left"] == 0
