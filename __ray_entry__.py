@@ -230,7 +230,7 @@ def _ocr_extract(sf_dir: str) -> Any:
     _golden_dump_path()
     tables = _corpus_tables(_OCR_GOLDEN_DOCS)
     docs = ray.data.from_arrow(tables["documents"])
-    out = extract(docs, tables["pages"], ocr_concurrency=4)
+    out = extract(docs, tables["pages"])
 
     def flat(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t["doc_id"], "combined": t["combined"],

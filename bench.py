@@ -81,34 +81,21 @@ def run_headline(corpus_dir: str, ncpu: int) -> dict:
             "docs_per_sec": round(n_docs / dt, 2)}
 
 
-def run_shuffle_pipeline(corpus_dir: str, ncpu: int) -> float:
+def run_shuffle_pipeline(corpus_dir: str) -> float:
     """Secondary: the general shuffle-based pipeline (the join path) on
-    the same corpus — the path for non-co-partitioned inputs."""
+    the same corpus — the path for non-co-partitioned inputs.
+
+    OCR runs as Ray tasks. At 32 CPUs, round 5 measured a tuned OCR actor
+    pool (3N/4 actors, batches of 48 pages) at 21.1 s against 26.4 s for
+    the task form. That pool is gone because it stalls a 1-CPU session, so
+    this figure may read up to ~25% slower than round 5 until a multi-CPU
+    host re-measures both forms."""
     import ray
     from norsk_historisk_avis_ocr_ray.pipelines.extract import extract
 
     docs = ray.data.read_parquet(os.path.join(corpus_dir, "documents"))
     t0 = time.time()
-    # batch_size=48: page batches amortize actor round-trips without the
-    # tail skew of 64 (measured 45s @16 / 37.6s @32 / 34.7s @48 / 40.5s @64
-    # at 32 CPUs). At bs=48 the sweet spot is 3N/4 actors (20→44.9s,
-    # 24→37.7s, 28→38.4s same-session); at bs=16 anything past 5N/8
-    # collapsed against the join/sort stages (26 actors measured 75s).
-    # Round-5 re-profile (stats): the path is OCR-COMPUTE-bound, not
-    # shuffle-bound — after the layout AND/OR rewrite, 271.7s of remote OCR
-    # wall over 24 actors (11.3s busy floor, 66% pool utilization: actor
-    # ramp + 200-page block granularity tail; finer page blocks backfire,
-    # override_num_blocks=400 → 44s from row-group re-reads). Re-swept at
-    # 4 join partitions: 24/48 → 21.1s, 26/48 → 29.2s, 28/48 → 29.0s
-    # (the cliff past 24 actors persists at any join width — executor
-    # starves the dataflow task ops). Elastic-task OCR (ocr_compute=
-    # 'tasks', read->OCR fused) measured 26.4s — the reservation
-    # allocator caps the fused op near 10 effective workers, so the
-    # tuned 3N/4-actor pool @ 48 remains the optimum.
-    out = extract(docs, os.path.join(corpus_dir, "pages"),
-                  ocr_concurrency=max(2, (3 * ncpu) // 4),
-                  ocr_batch_size=48)
-    out.count()
+    extract(docs, os.path.join(corpus_dir, "pages")).count()
     return round(time.time() - t0, 3)
 
 
@@ -253,7 +240,7 @@ def main() -> None:
         # shuffle pipeline right after the headline: 50+ query pipelines of
         # session residue (idle actor pools, object-store fill) measured
         # +35% on this stage when it ran last (69.6s vs 34.7s fresh)
-        queries["ocr_shuffle_pipeline"] = run_shuffle_pipeline(corpus_dir, NCPU)
+        queries["ocr_shuffle_pipeline"] = run_shuffle_pipeline(corpus_dir)
         queries.update(run_queries())
 
     sf = 0.1 if "0.1" in SF_DIR else (0.01 if "0.01" in SF_DIR else 0.001)

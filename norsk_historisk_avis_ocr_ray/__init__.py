@@ -7,7 +7,8 @@ reassembly) expressed as streaming ``ray.data.Dataset`` pipelines:
 
 - stateless ``map_batches`` over zero-copy Arrow batches for decode / layout /
   text cleanup,
-- actor pools for the stateful stages (OCR engine, correction normalizer),
+- tasks that build the stateful stages (OCR engine, correction normalizer)
+  once per worker process,
 - a single ``groupby(doc_id)`` shuffle to reassemble span sequences in reading
   order,
 - per-partition manifest + lineage for resumable runs.

@@ -48,7 +48,6 @@ def main(argv: list[str] | None = None) -> int:
     pe.add_argument("--pages", default=None)
     pe.add_argument("--out", required=True)
     engine_flags(pe)
-    pe.add_argument("--ocr-concurrency", type=int, default=8)
     pe.add_argument("--no-correction", action="store_true")
     pe.add_argument("--num-cpus", type=int, default=None)
 
@@ -167,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
 
         docs = read_documents(args.docs)
         out = extract(docs, args.pages, engine_factory=engine_factory,
-                      ocr_concurrency=args.ocr_concurrency,
                       correction=not args.no_correction)
         write_output(out, args.out)
         print(json.dumps({"output": args.out}))

@@ -10,16 +10,17 @@ Dataset-level composition (SURVEY.md §3.4):
       └─ spans → region rows, one of two cases:
            pages=None   map_batches(resolve_spans)     text-only: no OCR, a
                                                        media span is MissingMedia
-           pages given  pages ─ map_batches(LayoutOcrStage | page_ocr_batch)
+           pages given  pages ─ map_batches(LayoutOcrStage(engine_factory))
                         media spans ─ join(on media_ref) ─ finalize_media
                         other spans ─ passthrough_spans ─ union
       └─ map_batches(clean_batch)                      stateless T1 cleanup
       └─ groupby(rbucket).map_groups(repack)           THE one shuffle (text-only)
-      └─ map_batches(correct_batch | CorrectorStage)   normalizer
+      └─ map_batches(correct_batch)                    normalizer
 
-With pages, OCR is driven by the *pages* dataset: image bytes stream
-block-local through the OCR stage and are never broadcast, looked up or
-shuffled; the all-to-alls (join + groupby) move text only.
+Every operator is a task operator. With pages, OCR is driven by the *pages*
+dataset: each page's bytes go from its read task to one OCR task and are
+never broadcast, looked up or shuffled; the all-to-alls (join + groupby)
+move text only.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from ray.data import Dataset
 
 from ..functions import scale
 from ..functions.textops import clean_batch
-from ..stages.correct import CorrectorStage, correct_batch
+from ..stages.correct import correct_batch
 from ..stages.explode import explode_spans
-from ..stages.ocr import (PAGE_COLUMNS, LayoutOcrStage, MockBarcodeOcr,
-                          finalize_media, page_ocr_batch,
-                          passthrough_spans, resolve_spans)
+from ..stages.ocr import (PAGE_COLUMNS, PAGE_REGION_SCHEMA, LayoutOcrStage,
+                          MockBarcodeOcr, finalize_media, passthrough_spans,
+                          resolve_spans)
 from ..stages.repack import repack_table
 
 
@@ -50,14 +51,12 @@ def extract(
     pages: "str | pa.Table | Dataset | None" = None,
     *,
     engine_factory: Callable[[], Any] = MockBarcodeOcr,
-    ocr_concurrency: int | tuple[int, int] = 4,
-    ocr_batch_size: int = 32,
-    corrector_concurrency: int | tuple[int, int] | None = None,
     correction: bool = True,
     emit_diff: bool = True,
-    media_resolution: str = "auto",
-    ocr_compute: str = "actors",
     span_checkpoint: str | None = None,
+    ocr_concurrency: Any = None,
+    ocr_batch_size: Any = None,
+    media_resolution: str = "auto",
 ) -> Dataset:
     """documents + pages → output Dataset (doc_id, spans, combined,
     transcribed, corrected, n_edits, diff, n_errors).
@@ -69,18 +68,14 @@ def extract(
     are resolved by a join on ``media_ref`` against the page kernel's region
     rows.
 
-    media_resolution: kept for callers that name the join path; 'auto' and
-    'dataflow' are the same, anything else is a ``ValueError``.
+    Every stage runs as Ray tasks: OCR is ``LayoutOcrStage(engine_factory)``
+    with one engine per worker process (``stages.ocr.cached_engine``), the
+    corrector is ``correct_batch``. There is no pool to size, so no stage
+    can starve another of CPUs.
 
-    ocr_compute: 'actors' (default) runs OCR as an actor pool of
-    ``ocr_concurrency`` actors; 'tasks' runs it as elastic Ray tasks with a
-    per-worker-process engine cache (``stages.ocr.page_ocr_batch``), fused
-    with the pages read — no pool sizing. Right whenever engine setup is
-    cheap enough to pay once per worker process (mock/tesseract); keep
-    'actors' for heavyweight engines (LLM clients with connection state).
-
-    corrector_concurrency: None (default) runs the corrector as tasks fused
-    with the repack; N runs it as an actor pool of N.
+    ocr_concurrency, ocr_batch_size, media_resolution: ignored; kept because
+    the dataflow pass of ``perfbench/session.py`` still passes them.
+    ``media_resolution`` other than 'auto' or 'dataflow' is a ``ValueError``.
 
     span_checkpoint: the join path consumes the exploded span stream in TWO
     branches (media spans → join; other spans → passthrough), and a lazy
@@ -88,29 +83,12 @@ def extract(
     stream is checkpointed to parquet there once (streaming block-by-block
     write — disk/DFS-resident, resumable) and both branches read it back
     with column pruning. With None (default), each branch recomputes the
-    read+explode — 2× source-read I/O, zero pin. Round 2 used
-    ``materialize()`` here, which pinned the whole corpus-sized span stream
-    in the object store — disqualifying at 100× scale.
+    read+explode — 2× source-read I/O. Neither pins the corpus-sized span
+    stream in the object store, as ``materialize()`` would.
     """
     if media_resolution not in ("auto", "dataflow"):
         raise ValueError(f"unknown media_resolution {media_resolution!r}; "
                          "expected 'auto' or 'dataflow'")
-    ocr_actors = pages is not None and ocr_compute != "tasks"
-
-    # Deadlock guard: actor pools that reserve every CPU of the session
-    # starve the task operators (read/clean/join/groupby) and the streaming
-    # executor stalls forever. Clamp the actors (OCR pool in the actor form,
-    # corrector pool) to session CPUs minus task headroom; a corrector pool
-    # that still does not fit falls back to the task form.
-    avail = int(ray.cluster_resources().get("CPU", 8))
-    budget = max(1, avail - max(1, avail // 8))
-    n_corr = 0 if corrector_concurrency is None else _int_concurrency(corrector_concurrency)
-    n_ocr = _int_concurrency(ocr_concurrency) if ocr_actors else 0
-    if n_ocr + n_corr > budget:
-        if ocr_actors:
-            ocr_concurrency = n_ocr = max(1, budget - n_corr)
-        if n_ocr + n_corr > budget:
-            corrector_concurrency = None
 
     exploded = docs.map_batches(explode_spans, batch_format="pyarrow")
 
@@ -123,45 +101,37 @@ def extract(
         elif isinstance(pages, Dataset):
             pages_ds = pages.select_columns(PAGE_COLUMNS)
         else:
-            pages_ds = ray.data.from_arrow(pages.select(PAGE_COLUMNS))
-        if ocr_actors:
-            media_texts = pages_ds.map_batches(
-                LayoutOcrStage,
-                fn_constructor_kwargs={"engine_factory": engine_factory},
-                batch_format="pyarrow",
-                batch_size=ocr_batch_size,
-                concurrency=ocr_concurrency,
-                num_cpus=1,
-            )
-        else:
-            media_texts = pages_ds.map_batches(
-                partial(page_ocr_batch, engine_factory=engine_factory),
-                batch_format="pyarrow",
-                batch_size=None,  # whole read block per call → the executor
-                # fuses ReadParquet->page_ocr_batch into ONE task op: image
-                # bytes never cross the object store at all
-            )
-        # Two consumers of the exploded stream (see span_checkpoint in the
-        # docstring): parquet checkpoint when a dir is given, else per-branch
-        # recompute. Never a full-stream materialize — that pins the
-        # corpus-sized span stream in the object store.
+            # one table is one block, hence one OCR task: slice it
+            pages_ds = ray.data.from_arrow(
+                _slices(pages.select(PAGE_COLUMNS), scale.read_blocks()))
+        # Ray fuses a read into the map after it only when it does not split
+        # the read's blocks further, and it does split them when the pages
+        # come in fewer files than the read's target block count: page bytes
+        # then cross the object store once, read → OCR. Only text leaves the
+        # OCR tasks. The join's right side starts with an all-null row, an
+        # input block that is ready before any OCR task ends, so its first
+        # block is never empty, even when no page has rows.
+        media_texts = ray.data.from_arrow(
+            _one_row_if_empty(PAGE_REGION_SCHEMA.empty_table())).union(
+            pages_ds.map_batches(LayoutOcrStage(engine_factory),
+                                 batch_format="pyarrow", batch_size=None))
+        media_src = rest_src = exploded
         if span_checkpoint is not None:
             ckpt = os.path.join(span_checkpoint, "exploded_spans")
             exploded.write_parquet(ckpt)
             media_src = ray.data.read_parquet(
                 ckpt, columns=["doc_id", "in_offset", "kind", "media_ref"])
             rest_src = ray.data.read_parquet(ckpt)
-        else:
-            media_src = exploded
-            rest_src = exploded
         media_spans = media_src.map_batches(_media_keys, batch_format="pyarrow")
-        # cluster-size-aware: at least the cluster-wide join default, but
-        # never fewer partitions than the OCR pool can feed concurrently
-        n_parts = max(scale.join_partitions(),
-                      _int_concurrency(ocr_concurrency) // 6)
+        # The join moves text only, so its aggregators reserve no CPU: Ray's
+        # default of up to half the session's CPUs starves the read → OCR
+        # tasks on a small or busy session and the executor stalls.
         joined = (media_spans
                   .join(media_texts, join_type="left_outer",
-                        num_partitions=n_parts, on=("media_ref",))
+                        num_partitions=scale.join_partitions(),
+                        on=("media_ref",),
+                        aggregator_ray_remote_args={
+                            "num_cpus": 0, "scheduling_strategy": "SPREAD"})
                   .filter(expr="is_valid(doc_id)")
                   .map_batches(finalize_media, batch_format="pyarrow"))
         rest = rest_src.filter(expr="kind != 'media'").map_batches(
@@ -194,36 +164,29 @@ def extract(
     repacked = (cleaned.map_batches(_bucket_docs, batch_format="pyarrow")
                        .groupby("rbucket")
                        .map_groups(_repack_bucket, batch_format="pyarrow"))
-
-    if corrector_concurrency is None:
-        # task form: fuses with the repack stage and scales elastically on
-        # CPUs the OCR actor pool leaves free (normalizer cached per process)
-        return repacked.map_batches(
-            partial(correct_batch, enabled=correction, emit_diff=emit_diff),
-            batch_format="pyarrow", batch_size=256)
-
     return repacked.map_batches(
-        CorrectorStage,
-        fn_constructor_kwargs={"enabled": correction, "emit_diff": emit_diff},
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=corrector_concurrency,
-        num_cpus=1,
-    )
+        partial(correct_batch, enabled=correction, emit_diff=emit_diff),
+        batch_format="pyarrow", batch_size=256)
+
+
+def _slices(t: pa.Table, n: int) -> list[pa.Table]:
+    """``t`` as up to ``n`` zero-copy row slices (one, empty, for no rows)."""
+    step = max(1, -(-t.num_rows // n))
+    return [t.slice(i, step) for i in range(0, max(1, t.num_rows), step)]
+
+
+def _one_row_if_empty(t: pa.Table) -> pa.Table:
+    """``t``, or one all-null row if it has none: Ray's hash join learns
+    each side's schema from the first block it shuffles and fails if that
+    block is empty. Null keys match nothing; the left side's null rows are
+    dropped after the join by ``is_valid(doc_id)``."""
+    return t if t.num_rows else pa.Table.from_pylist([{}], t.schema)
 
 
 def _media_keys(t: pa.Table) -> pa.Table:
-    """The join's left side: the media spans of a span batch. A batch with
-    none yields one all-null row instead — Ray's hash join learns the left
-    schema from the first block it shuffles and fails if that block is
-    empty. The null rows match nothing and are dropped after the join."""
-    media = t.filter(pc.equal(t["kind"], "media")).select(
-        ["doc_id", "in_offset", "media_ref"])
-    return media if media.num_rows else pa.Table.from_pylist([{}], media.schema)
-
-
-def _int_concurrency(c) -> int:
-    return c[1] if isinstance(c, tuple) else int(c)
+    """The join's left side: the media spans of a span batch."""
+    return _one_row_if_empty(t.filter(pc.equal(t["kind"], "media")).select(
+        ["doc_id", "in_offset", "media_ref"]))
 
 
 def _lpt_parquet_paths(path: str) -> "str | list[str]":

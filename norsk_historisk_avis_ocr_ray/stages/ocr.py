@@ -2,7 +2,7 @@
 
 Engine plugin surface (the analogue of the reference's engine registry,
 ``engines/__init__.py:4-16`` + the ``process_file`` protocol, ``CLAUDE.md``):
-an ``OcrEngine`` has ``load()`` (called once per actor or worker process —
+an ``OcrEngine`` has ``load()`` (called once per worker process —
 model/language data is per-worker state, reference M1/M2) and
 ``ocr_region(img) -> str``.
 
@@ -10,8 +10,8 @@ model/language data is per-worker state, reference M1/M2) and
 layout analysis (``stages.layout``), crops regions and OCRs each, emitting
 *text-only* region rows keyed by ``media_ref`` — no image bytes ever enter
 the downstream stream or the reading-order shuffle (the reference's per-file
-sequential loop is ``tesseract_engine.py:152-178``). ``LayoutOcrStage``
-(actor pool) and ``page_ocr_batch`` (elastic tasks) are its Ray forms, and
+sequential loop is ``tesseract_engine.py:152-178``). ``LayoutOcrStage`` is
+its Ray form (tasks, one cached engine per worker process), and
 ``resolve_spans`` joins span rows to its output in process.
 
 Error policy (fixes reference behavior where one API error aborts the whole
@@ -22,11 +22,13 @@ and repack counts errors per document.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Callable
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+from ray import cloudpickle
 
 from ..sources.codec import decode_with_band_profiles
 from ..synth import barcode
@@ -49,8 +51,8 @@ class TesseractOcr:
     """Adapter for a real tesseract engine (reference M1).
 
     Not usable in this container (no tesseract binary / pytesseract); the
-    adapter exists so the actor-pool plumbing is identical for a real engine:
-    ``load`` resolves the binary + language data once per actor
+    adapter exists so the Ray plumbing is identical for a real engine:
+    ``load`` resolves the binary + language data once per worker process
     (reference ``tesseract_engine.py:119-123``), ``ocr_region`` runs one region.
     """
 
@@ -65,8 +67,8 @@ class TesseractOcr:
         """Missing-dependency list, empty when runnable — the behavioral
         mirror of reference ``tesseract_engine.py:100-112``
         (check_dependencies): the binary is resolved with ``shutil.which``,
-        the Python binding by import probe. Called by ``load()`` so a pool
-        actor fails fast with the full shopping list instead of a bare
+        the Python binding by import probe. Called by ``load()`` so an OCR
+        task fails fast with the full shopping list instead of a bare
         ImportError mid-batch."""
         import shutil
 
@@ -112,21 +114,20 @@ def get_engine(name: str) -> Callable[[], Any]:
         raise KeyError(f"unknown OCR engine {name!r}; known: {sorted(ENGINES)}")
 
 
-_ENGINE_CACHE: dict[str, Any] = {}
+_ENGINE_CACHE: dict[bytes, Any] = {}
 
 
-def _factory_key(factory: Callable[[], Any]) -> str:
-    """Stable per-worker cache key for an engine factory. ``id()`` is useless
-    here: remote-task arguments are deserialized fresh per task, so identity
-    never repeats — key on the factory's qualified name (+ partial kwargs)."""
-    f = getattr(factory, "func", factory)  # unwrap functools.partial
-    kw = getattr(factory, "keywords", None) or {}
-    return (f"{getattr(f, '__module__', '?')}.{getattr(f, '__qualname__', repr(f))}"
-            f"|{sorted(kw.items())!r}")
+def _factory_key(factory: Callable[[], Any]) -> bytes:
+    """Per-worker cache key for an engine factory: a digest of its pickle.
+    ``id()`` is useless here: task arguments are deserialized fresh per task,
+    so identity never repeats. A qualified name is not enough either: two
+    lambdas from one maker, or two ``partial``s of one class, differ only by
+    their closure cells or arguments, which the pickle carries."""
+    return hashlib.blake2b(cloudpickle.dumps(factory), digest_size=16).digest()
 
 
 def cached_engine(engine_factory: Callable[[], Any]) -> Any:
-    """Construct + ``load()`` the engine once per worker process."""
+    """Build and ``load()`` the engine once per worker process and factory."""
     key = _factory_key(engine_factory)
     engine = _ENGINE_CACHE.get(key)
     if engine is None:
@@ -181,27 +182,15 @@ def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
 
 
 class LayoutOcrStage:
-    """Actor-pool form of ``ocr_pages``: a callable class passed to
-    ``map_batches(..., concurrency=N)`` over the pages dataset, so the engine
-    is constructed and loaded once per actor."""
+    """Ray form of ``ocr_pages``: a callable *instance* passed to
+    ``map_batches`` runs as Ray tasks, and the engine is built and loaded
+    once per worker process (``cached_engine``)."""
 
     def __init__(self, engine_factory: Callable[[], Any] = MockBarcodeOcr):
-        self.engine = engine_factory()
-        self.engine.load()
+        self.engine_factory = engine_factory
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return ocr_pages(batch, self.engine)
-
-
-def page_ocr_batch(batch: pa.Table,
-                   engine_factory: Callable[[], Any] = MockBarcodeOcr) -> pa.Table:
-    """Task form of ``ocr_pages``: the engine is cached per worker process
-    (``cached_engine``), so OCR runs as elastic Ray tasks that share the
-    session's CPUs with the dataflow operators — no pool to size. Keep the
-    actor form for engines whose setup is too heavy to pay once per worker
-    process, or whose factory is a closure (closures of one qualified name
-    share a cache key)."""
-    return ocr_pages(batch, cached_engine(engine_factory))
+        return ocr_pages(batch, cached_engine(self.engine_factory))
 
 
 REGION_COLS = ["doc_id", "in_offset", "region_idx", "kind", "text",

@@ -169,9 +169,9 @@ def test_extract_runs_over_png_and_pdf_pages(ray_session):
         "codec": pa.array(codecs, pa.string()),
     })
     docs = ray.data.from_arrow(tables["documents"])
-    base = extract(docs, pages, ocr_concurrency=2).to_pandas()
-    got = extract(ray.data.from_arrow(tables["documents"]), recoded,
-                  ocr_concurrency=2).to_pandas()
+    base = extract(docs, pages).to_pandas()
+    got = extract(ray.data.from_arrow(tables["documents"]),
+                  recoded).to_pandas()
     base = base.sort_values("doc_id").reset_index(drop=True)
     got = got.sort_values("doc_id").reset_index(drop=True)
     assert got["combined"].tolist() == base["combined"].tolist()

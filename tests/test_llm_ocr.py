@@ -208,9 +208,9 @@ def test_engine_registered():
     assert "claude-vision" in ENGINES
 
 
-def test_engine_in_actor_pool_stage(ray_session):
-    """The vision engine runs through LayoutOcrStage's actor pool with a fake
-    client — the Ray plumbing (constructor kwargs, per-actor load) is real."""
+def test_engine_in_ocr_task_stage(ray_session):
+    """The vision engine runs through LayoutOcrStage as Ray tasks with a fake
+    client — the Ray plumbing (pickled factory, per-worker load) is real."""
     import pyarrow as pa
 
     import ray
@@ -221,8 +221,8 @@ def test_engine_in_actor_pool_stage(ray_session):
 
     def factory():
         # Self-contained fakes (defined in-function so cloudpickle ships them
-        # by value to the actor — test-module classes aren't importable on
-        # Ray workers and would wedge the actor in a restart loop).
+        # by value to the worker — test-module classes aren't importable on
+        # Ray workers).
         class _Stream:
             def __init__(self, i):
                 self._i = i
@@ -262,10 +262,8 @@ def test_engine_in_actor_pool_stage(ray_session):
         "codec": pa.array(["raw-zlib"] * 2, pa.string()),
     })
     out = (ray.data.from_arrow(pages)
-           .map_batches(LayoutOcrStage,
-                        fn_constructor_kwargs={"engine_factory": factory},
-                        batch_format="pyarrow", batch_size=4, concurrency=1,
-                        num_cpus=1)
+           .map_batches(LayoutOcrStage(factory), batch_format="pyarrow",
+                        batch_size=4)
            .to_pandas())
     assert len(out) >= 2
     assert out["error"].isna().all()

@@ -22,9 +22,7 @@ def corpus():
 
 def run_extract(corpus, **kwargs):
     docs = ray.data.from_arrow(corpus["documents"])
-    # task-form corrector: 2 OCR actors + 2 corrector actors would reserve
-    # all 4 CPUs of the test session and starve the task operators
-    out = extract(docs, corpus["pages"], ocr_concurrency=2, **kwargs)
+    out = extract(docs, corpus["pages"], **kwargs)
     tbl = pa.Table.from_pandas(out.to_pandas())
     return {r["doc_id"]: r for r in tbl.to_pylist()}
 
@@ -67,7 +65,7 @@ def test_missing_media_ref_is_row_error_not_abort():
         "doc_id": "d0",
         "spans": [{"kind": "media", "text": "", "media_ref": "nope", "offset": 0}],
     }]))
-    out = extract(docs, None, ocr_concurrency=1).to_pandas()
+    out = extract(docs, None).to_pandas()
     assert len(out) == 1
     assert out.iloc[0]["n_errors"] == 1
     spans = out.iloc[0]["spans"]
@@ -78,7 +76,7 @@ def test_empty_doc_roundtrip():
     from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA
     docs = ray.data.from_arrow(pa.Table.from_pylist(
         [{"doc_id": "d0", "spans": []}], schema=DOCUMENTS_SCHEMA))
-    out = extract(docs, None, ocr_concurrency=1).to_pandas()
+    out = extract(docs, None).to_pandas()
     assert len(out) == 1
     assert list(out.iloc[0]["spans"]) == []
     assert out.iloc[0]["combined"] == ""

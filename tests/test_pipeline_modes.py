@@ -1,5 +1,5 @@
-"""Every form of the join pipeline (actor/task OCR, span checkpoint, actor
-corrector) and the shard-local pipeline must produce the golden span
+"""The join pipeline (with and without a span checkpoint, on a starved or
+busy session) and the shard-local pipeline must produce the golden span
 sequences, and all paths must agree span for span."""
 
 import pyarrow as pa
@@ -50,42 +50,105 @@ def _docs_pages(corpus_dir):
 
 
 def test_dataflow_mode(corpus_dir):
-    docs, pages = _docs_pages(corpus_dir)
-    out = extract(docs, pages, ocr_concurrency=2, media_resolution="dataflow")
-    check(out, corpus_dir)
+    # one in-memory pages table is one block: it must still be spread over
+    # more than one OCR task
+    import re
 
-
-def test_dataflow_task_form_ocr(corpus_dir):
-    # elastic-task OCR (per-worker-process engine cache, read->OCR fusion)
-    # must be span-for-span identical to the actor-pool form
     docs, pages = _docs_pages(corpus_dir)
-    out = extract(docs, pages, ocr_concurrency=2, media_resolution="dataflow",
-                  ocr_compute="tasks")
+    out = extract(docs, pages).materialize()
+    n = re.search(r"MapBatches\(LayoutOcrStage\): (\d+) tasks executed",
+                  out.stats())
+    assert n and int(n.group(1)) > 1, out.stats()
     check(out, corpus_dir)
 
 
 def test_page_ocr_batch_matches_stage(corpus_dir):
-    # task-form wrapper == actor stage, for class factories and partials
+    # the Ray stage == the page kernel, for class factories and partials
     # alike — no Ray involved
     from functools import partial
 
     import pyarrow.parquet as pq
     from norsk_historisk_avis_ocr_ray.stages.ocr import (
-        PAGE_COLUMNS, LayoutOcrStage, MockBarcodeOcr, page_ocr_batch)
+        PAGE_COLUMNS, LayoutOcrStage, MockBarcodeOcr, ocr_pages)
 
     t = pq.read_table(f"{corpus_dir}/pages.parquet", columns=PAGE_COLUMNS)
-    want = LayoutOcrStage()(t)
-    assert page_ocr_batch(t).equals(want)
-    assert page_ocr_batch(t, engine_factory=partial(MockBarcodeOcr)).equals(
-        want)
+    want = ocr_pages(t, MockBarcodeOcr())
+    assert LayoutOcrStage(MockBarcodeOcr)(t).equals(want)
+    assert LayoutOcrStage(partial(MockBarcodeOcr))(t).equals(want)
+
+
+def test_engine_cache_tells_same_named_factories_apart(corpus_dir):
+    # two lambdas from one maker (or two partials of one class) share a
+    # qualified name and differ only in their closure cell (or argument):
+    # each must get its own engine, in process and in reused Ray workers
+    from functools import partial
+
+    import pyarrow.parquet as pq
+    from norsk_historisk_avis_ocr_ray.stages.ocr import (
+        PAGE_COLUMNS, LayoutOcrStage, cached_engine)
+
+    class FixedText:  # defined here so cloudpickle ships it by value
+        def __init__(self, text):
+            self.text = text
+
+        def load(self):
+            pass
+
+        def ocr_region(self, img, **_):
+            return self.text
+
+    def lambda_of(text):
+        return lambda: FixedText(text)
+
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet",
+                          columns=PAGE_COLUMNS).slice(0, 2)
+
+    def texts(factory):
+        return set(ray.data.from_arrow(pages)
+                   .map_batches(LayoutOcrStage(factory),
+                                batch_format="pyarrow", batch_size=None)
+                   .to_pandas()["text"])
+
+    for make in (lambda_of, partial(partial, FixedText)):
+        fa, fb = make("a"), make("b")
+        assert cached_engine(fa).text == "a"
+        assert cached_engine(fb).text == "b"
+        assert texts(fa) == {"a"}
+        assert texts(fb) == {"b"}
+
+
+def test_dataflow_finishes_with_one_free_cpu(corpus_dir):
+    # an actor holds 3 of the session's 4 CPUs for the whole run: the read,
+    # OCR, join and repack tasks must share the one CPU left, not stall; a
+    # stall fails the deadline instead of hanging
+    import threading
+
+    @ray.remote(num_cpus=3)
+    class Hog:
+        def ready(self):
+            return True
+
+    hog = Hog.remote()
+    done = {}
+    try:
+        ray.get(hog.ready.remote())
+        docs, pages = _docs_pages(corpus_dir)
+        out = extract(docs, pages)
+        t = threading.Thread(
+            target=lambda: done.setdefault("rows", out.to_pandas()), daemon=True)
+        t.start()
+        t.join(timeout=120)
+    finally:
+        ray.kill(hog)
+    assert "rows" in done, "pipeline stalled"
+    check(ray.data.from_pandas(done["rows"]), corpus_dir)
 
 
 def test_dataflow_span_checkpoint(corpus_dir, tmp_path):
     # checkpointed exploded-span stream (parquet roundtrip + column-pruned
     # re-read) must be span-for-span identical to the recompute default
     docs, pages = _docs_pages(corpus_dir)
-    out = extract(docs, pages, ocr_concurrency=2, media_resolution="dataflow",
-                  span_checkpoint=str(tmp_path))
+    out = extract(docs, pages, span_checkpoint=str(tmp_path))
     check(out, corpus_dir)
     import os
     assert os.path.isdir(str(tmp_path / "exploded_spans"))  # durable artifact
@@ -104,13 +167,6 @@ def test_sharded(corpus_dir, tmp_path):
     pq.write_table(pq.read_table(f"{corpus_dir}/pages.parquet"),
                    f"{d}/pages/part-0000.parquet")
     out = extract_sharded(d)
-    check(out, corpus_dir)
-
-
-def test_actor_corrector_matches_task_corrector(corpus_dir):
-    # actor-pool corrector form: 1 OCR + 2 corrector actors fit in 4 CPUs
-    docs, pages = _docs_pages(corpus_dir)
-    out = extract(docs, pages, ocr_concurrency=1, corrector_concurrency=2)
     check(out, corpus_dir)
 
 
@@ -153,7 +209,7 @@ def test_span_semantics_agree_across_paths(corpus_dir, tmp_path):
     pq.write_table(pages, f"{d}/pages/part-0000.parquet")
 
     sharded = _rows(extract_sharded(d))
-    joined = _rows(extract(ray.data.from_arrow(docs), pages, ocr_concurrency=1))
+    joined = _rows(extract(ray.data.from_arrow(docs), pages))
     text_only = _rows(extract(ray.data.from_arrow(docs), None))
     assert sharded == joined == text_only
     spans = sharded[1]["spans"]
@@ -185,21 +241,13 @@ def test_unknown_media_resolution_raises(corpus_dir):
         extract(docs, pages, media_resolution="broadcast")
 
 
-def test_task_ocr_with_oversized_corrector_pool_finishes(corpus_dir):
-    # 4 corrector actors exceed the 4-CPU session's actor budget: the guard
-    # must fall back to the task-form corrector instead of starving the
-    # task operators; a stall fails the deadline instead of hanging
-    import threading
-
+def test_zero_row_pages_make_every_media_span_missing(corpus_dir):
+    # a pages input with no rows: every media span is a MissingMedia row
+    # error, exactly as with no pages at all
     docs, pages = _docs_pages(corpus_dir)
-    out = extract(docs, pages, ocr_compute="tasks", corrector_concurrency=4)
-    done = {}
-    t = threading.Thread(target=lambda: done.setdefault("rows", out.to_pandas()),
-                         daemon=True)
-    t.start()
-    t.join(timeout=300)
-    assert "rows" in done, "pipeline stalled"
-    check(ray.data.from_pandas(done["rows"]), corpus_dir)
+    got = _rows(extract(docs, pages.slice(0, 0)))
+    assert got == _rows(extract(docs, None))
+    assert sum(r["n_errors"] for r in got) > 0
 
 
 def test_nested_pages_directory_keeps_every_page(corpus_dir, tmp_path):
@@ -215,7 +263,7 @@ def test_nested_pages_directory_keeps_every_page(corpus_dir, tmp_path):
     pq.write_table(pages.slice(0, half), str(d / "part-0000.parquet"))
     pq.write_table(pages.slice(half), str(d / "extra" / "part-0001.parquet"))
     docs, _ = _docs_pages(corpus_dir)
-    check(extract(docs, str(d), ocr_concurrency=1), corpus_dir)
+    check(extract(docs, str(d)), corpus_dir)
 
 
 def test_nested_documents_directory_raises(tmp_path):

@@ -51,7 +51,7 @@ def test_live_ocr_region_smoke():
 @pytest.mark.skipif(bool(MISSING),
                     reason=f"tesseract unavailable: {'; '.join(MISSING)}")
 def test_live_extract_pipeline(tmp_path, ray_session):
-    # Full actor-pool pipeline with the real engine over a tiny synthetic
+    # Full task pipeline with the real engine over a tiny synthetic
     # corpus — identical plumbing to the MockBarcodeOcr golden tests.
     import ray
     from norsk_historisk_avis_ocr_ray.pipelines.extract import extract
@@ -59,7 +59,6 @@ def test_live_extract_pipeline(tmp_path, ray_session):
 
     tables = make_corpus(4, seed=7)
     docs = ray.data.from_arrow(tables["documents"])
-    out = extract(docs, tables["pages"], ocr_concurrency=2,
-                  ocr_batch_size=4,
+    out = extract(docs, tables["pages"],
                   engine_factory=lambda: TesseractOcr(lang="eng"))
     assert out.count() == 4
