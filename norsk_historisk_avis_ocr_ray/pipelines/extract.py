@@ -108,11 +108,11 @@ def extract(
         # the read's blocks further, and it does split them when the pages
         # come in fewer files than the read's target block count: page bytes
         # then cross the object store once, read → OCR. Only text leaves the
-        # OCR tasks. The join's right side starts with an all-null row, an
-        # input block that is ready before any OCR task ends, so its first
-        # block is never empty, even when no page has rows.
-        media_texts = ray.data.from_arrow(
-            _one_row_if_empty(PAGE_REGION_SCHEMA.empty_table())).union(
+        # OCR tasks. Each side of the join starts with an all-null row, an
+        # input block that is ready before any task ends, so the join's first
+        # block on either side is never empty, even when no page or no
+        # document has rows.
+        media_texts = ray.data.from_arrow(_null_row(PAGE_REGION_SCHEMA)).union(
             pages_ds.map_batches(LayoutOcrStage(engine_factory),
                                  batch_format="pyarrow", batch_size=None))
         media_src = rest_src = exploded
@@ -122,7 +122,12 @@ def extract(
             media_src = ray.data.read_parquet(
                 ckpt, columns=["doc_id", "in_offset", "kind", "media_ref"])
             rest_src = ray.data.read_parquet(ckpt)
-        media_spans = media_src.map_batches(_media_keys, batch_format="pyarrow")
+        docs_schema = docs.schema()
+        doc_id_type = docs_schema.types[docs_schema.names.index("doc_id")]
+        media_spans = ray.data.from_arrow(_null_row(pa.schema([
+            ("doc_id", doc_id_type), ("in_offset", pa.int32()),
+            ("media_ref", pa.string())]))).union(
+            media_src.map_batches(_media_keys, batch_format="pyarrow"))
         # The join moves text only, so its aggregators reserve no CPU: Ray's
         # default of up to half the session's CPUs starves the read → OCR
         # tasks on a small or busy session and the executor stalls.
@@ -180,7 +185,11 @@ def _one_row_if_empty(t: pa.Table) -> pa.Table:
     each side's schema from the first block it shuffles and fails if that
     block is empty. Null keys match nothing; the left side's null rows are
     dropped after the join by ``is_valid(doc_id)``."""
-    return t if t.num_rows else pa.Table.from_pylist([{}], t.schema)
+    return t if t.num_rows else _null_row(t.schema)
+
+
+def _null_row(schema: pa.Schema) -> pa.Table:
+    return pa.Table.from_pylist([{}], schema)
 
 
 def _media_keys(t: pa.Table) -> pa.Table:

@@ -14,6 +14,12 @@ OCR stages (reference decodes via pdf2image / PIL,
   (encode accepts ``jpeg:<quality>``, e.g. ``jpeg:95``)
 - ``tiff``     — grayscale TIFF via ``sources.tiff`` (decode: none / LZW /
   PackBits strips; encode: single-strip uncompressed)
+
+Payloads may be any bytes-like object; the page kernel passes zero-copy
+``pa.Buffer`` slices of the ``image`` column. ``decode_with_band_profiles``
+also returns layout's per-band column dark counts (``band_profile``, one
+byte per column for bands of up to 255 rows), computed while each band of
+a raw-zlib page is still in cache.
 """
 
 from __future__ import annotations
@@ -49,36 +55,38 @@ def encode_image(img: np.ndarray, codec: str = RAW_ZLIB) -> bytes:
     raise ValueError(f"unknown encode codec '{codec}'")
 
 
-def decode_image(buf: bytes, width: int, height: int, codec: str = RAW_ZLIB) -> np.ndarray:
-    """binary payload → uint8 HxW grayscale ndarray.
+def decode_image(buf, width: int, height: int, codec: str = RAW_ZLIB) -> np.ndarray:
+    """bytes-like payload → uint8 HxW grayscale ndarray.
 
     ``width``/``height`` are the typed-metadata columns; self-describing
     codecs (png/pdf) validate against them when provided (>0)."""
     if codec == RAW_ZLIB:
         raw = zlib.decompress(buf)
         return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    # The PNG and TIFF parsers read a zero-copy memoryview; the PDF and JPEG
+    # parsers use ``bytes`` methods, so they get a copy of this one page.
     if codec == PNG:
         from .png import decode_png
 
-        img = decode_png(buf)
+        img = decode_png(memoryview(buf).cast("B"))
         _check_dims(img, width, height, codec)
         return img
     if codec == "pdf":
         from .pdf import extract_page_image
 
-        img = extract_page_image(buf)
+        img = extract_page_image(bytes(buf))
         _check_dims(img, width, height, codec)
         return img
     if codec in ("jpeg", "jpg") or codec.startswith("jpeg:"):
         from .jpeg import decode_jpeg
 
-        img = decode_jpeg(buf)
+        img = decode_jpeg(bytes(buf))
         _check_dims(img, width, height, codec)
         return img
     if codec in ("tiff", "tif"):
         from .tiff import decode_tiff
 
-        img = decode_tiff(buf)
+        img = decode_tiff(memoryview(buf).cast("B"))
         _check_dims(img, width, height, codec)
         return img
     raise ValueError(f"unknown codec '{codec}'")
@@ -91,38 +99,44 @@ def _check_dims(img: np.ndarray, width: int, height: int, codec: str) -> None:
             f"says {width}x{height}")
 
 
+def band_profile(rows: np.ndarray, threshold: int) -> np.ndarray:
+    """Column dark-pixel counts of one band. The counts are one byte wide
+    while a band has at most 255 rows (the default band is 200), so the sum
+    never widens a pixel past a byte; taller bands count in uint16."""
+    dtype = np.uint8 if rows.shape[0] <= 255 else np.uint16
+    return np.add.reduce((rows < threshold).view(np.uint8), axis=0, dtype=dtype)
+
+
+def _band_bounds(height: int, band_height: int) -> list[tuple[int, int]]:
+    """Row ranges of the bands ``layout.find_band_dividers`` iterates:
+    ``height // band_height`` bands (min 1), the sub-band tail ignored."""
+    return [(y0, min(y0 + band_height, height))
+            for y0 in range(0, max(1, height // band_height) * band_height,
+                            band_height)]
+
+
 def band_profiles(img: np.ndarray, threshold: int,
                   band_height: int) -> list[tuple[int, np.ndarray]]:
-    """Per-band column dark-count profiles, exactly the bands
-    ``layout.find_band_dividers`` iterates: ``height // band_height`` bands
-    (min 1), bands shorter than 20 rows skipped, the sub-band tail ignored."""
-    height = img.shape[0]
-    n_bands = max(1, height // band_height)
-    out: list[tuple[int, np.ndarray]] = []
-    for b in range(n_bands):
-        y0 = b * band_height
-        y1 = min((b + 1) * band_height, height)
-        if y1 - y0 < 20:
-            continue
-        out.append((y1 - y0,
-                    (img[y0:y1] < threshold).sum(axis=0, dtype=np.int16)))
-    return out
+    """``(band rows, band_profile)`` per band of ``_band_bounds``, bands
+    shorter than 20 rows skipped."""
+    return [(y1 - y0, band_profile(img[y0:y1], threshold))
+            for y0, y1 in _band_bounds(img.shape[0], band_height)
+            if y1 - y0 >= 20]
 
 
 def decode_with_band_profiles(
-    buf: bytes, width: int, height: int, codec: str = RAW_ZLIB,
+    buf, width: int, height: int, codec: str = RAW_ZLIB,
     threshold: int = 200, band_height: int = 200,
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Decode + band profiles in one cache-hot pass.
 
-    The layout stage's first phase (divider detection) is the only full-image
-    scan, and at high core counts the pipeline is DRAM-bandwidth-bound (see
-    BASELINE.md): re-reading the 6 MB page the decoder just wrote costs a
-    full memory round-trip per page. For ``raw-zlib`` this decompresses in
-    band-sized output chunks and computes each band's column profile while
-    its rows are still in L2 — the full-page *read* disappears from DRAM
-    traffic. Other codecs decode normally and profile afterwards (their
-    decoders are compute-dominated).
+    ``buf`` is any bytes-like payload (``bytes`` or a zero-copy
+    ``pa.Buffer``). For ``raw-zlib`` this inflates band by band and
+    profiles each band while its rows are still in cache, so layout's first
+    phase never re-reads the page from memory. The stream must inflate to
+    exactly ``width*height`` bytes; a longer or shorter one raises
+    ``ValueError``. Other codecs decode normally and profile afterwards
+    (their decoders are compute-dominated).
     """
     if codec != RAW_ZLIB:
         img = decode_image(buf, width, height, codec)
@@ -131,35 +145,27 @@ def decode_with_band_profiles(
     img = np.empty((height, width), dtype=np.uint8)
     flat = img.reshape(-1)
     dco = zlib.decompressobj()
-    n_bands = max(1, height // band_height)
-    profiles: list[tuple[int, np.ndarray]] = []
-    next_band = 0
     data = buf
     pos = 0
-    total = flat.size
 
-    def emit_done(row_done: int) -> None:
-        nonlocal next_band
-        while next_band < n_bands:
-            y0 = next_band * band_height
-            y1 = min((next_band + 1) * band_height, height)
-            if y1 > row_done:
-                break
-            if y1 - y0 >= 20:
-                profiles.append(
-                    (y1 - y0,
-                     (img[y0:y1] < threshold).sum(axis=0, dtype=np.int16)))
-            next_band += 1
-
-    while pos < total:
-        chunk = dco.decompress(data, min(band_height * width, total - pos))
-        data = dco.unconsumed_tail
-        if not chunk:
-            chunk = dco.flush()
+    def inflate_to(end: int) -> None:
+        nonlocal data, pos
+        while pos < end:
+            chunk = dco.decompress(data, end - pos)
+            data = dco.unconsumed_tail
             if not chunk:
-                raise ValueError("raw-zlib payload truncated")
-        flat[pos:pos + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
-        pos += len(chunk)
-        emit_done(pos // width)
-    emit_done(height)
+                raise ValueError(f"raw-zlib payload inflates to {pos} bytes, "
+                                 f"short of {width}x{height}")
+            flat[pos:pos + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
+            pos += len(chunk)
+
+    profiles: list[tuple[int, np.ndarray]] = []
+    for y0, y1 in _band_bounds(height, band_height):
+        inflate_to(y1 * width)
+        if y1 - y0 >= 20:
+            profiles.append((y1 - y0, band_profile(img[y0:y1], threshold)))
+    inflate_to(flat.size)
+    if not dco.eof and (dco.decompress(data, 1) or not dco.eof):
+        raise ValueError(f"raw-zlib payload does not end at {width}x{height} "
+                         "bytes")
     return img, profiles

@@ -88,7 +88,7 @@ def _unpackbits(data: bytes, expected: int) -> bytes:
             out += data[i : i + n + 1]
             i += n + 1
         elif n > 128:
-            out += data[i : i + 1] * (257 - n)
+            out += bytes((data[i],)) * (257 - n)
             i += 1
         # n == 128: no-op
     return bytes(out)

@@ -8,7 +8,8 @@ algorithm, with identical parameter semantics:
   persistence filter.
 - ``find_gap_boundaries``  — reference ``_columns.py:212-291`` (L2): per-row
   light-run gap-coverage profile → 15px moving average → expected-width-guided
-  boundary search.
+  boundary search. Coverage is built from the run edges of each search
+  window in one pass (run-length form), not by testing every g-wide window.
 - ``detect_title_region``  — reference ``_columns.py:4-118`` (L3): per-column
   blank-row scan of the top 40%, last large gap (≥40 blank rows) → elevated
   column grouping → title box.
@@ -27,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..sources.codec import band_profiles
+
 DARK_THRESHOLD = 200
 OVERLAP_PX = 20
 ESTIMATED_COL_WIDTH = 730  # ~700-750px columns at 300 DPI (reference fallback)
@@ -38,37 +41,19 @@ def find_band_dividers(
     band_height: int = 200,
     drift_px: int = 15,
     min_band_frac: float = 0.50,
-    dark: np.ndarray | None = None,
     profiles: list[tuple[int, np.ndarray]] | None = None,
 ) -> list[int]:
     """Detect ink divider lines via horizontal-band vertical projections.
 
-    The dark mask is materialized per ~band slab (≤200 rows ≈ 0.5–1 MB) so it
-    stays cache-resident instead of a full-page boolean round-trip to DRAM —
-    the layout stage's dominant cost is memory traffic, not arithmetic.
-    ``dark`` may pass a precomputed full-page mask (kept for API compat)."""
-    height, width = img.shape
-    n_bands = max(1, height // band_height)
-
-    band_peaks: list[list[int]] = []
-    if profiles is not None:
-        # precomputed during decode (sources.codec.decode_with_band_profiles):
-        # identical bands/threshold, no second full-image pass
-        for band_h, v_profile in profiles:
-            mask = v_profile >= band_h * 0.8
-            band_peaks.append(_run_centers(mask, width))
-    else:
-        for b in range(n_bands):
-            y0 = b * band_height
-            y1 = min((b + 1) * band_height, height)
-            band_h = y1 - y0
-            if band_h < 20:
-                continue
-            slab = dark[y0:y1] if dark is not None else img[y0:y1] < threshold
-            v_profile = slab.sum(axis=0, dtype=np.int16)  # band_h <= 200 rows
-            mask = v_profile >= band_h * 0.8
-            peaks = _run_centers(mask, width)
-            band_peaks.append(peaks)
+    ``profiles`` are the per-band column dark counts
+    (``sources.codec.band_profiles``); the page kernel passes the ones
+    ``decode_with_band_profiles`` computed while inflating, otherwise they
+    are computed here."""
+    width = img.shape[1]
+    if profiles is None:
+        profiles = band_profiles(img, threshold, band_height)
+    band_peaks = [_run_centers(v_profile >= band_h * 0.8, width)
+                  for band_h, v_profile in profiles]
 
     if not band_peaks:
         return []
@@ -147,54 +132,29 @@ def find_gap_boundaries(
         w_hi = min(seg_width - 50, expected_rx + search_radius)
         if w_lo >= w_hi:
             continue
-        # Gap coverage is only ever *read* inside [w_lo, w_hi]; compute it on
-        # a slice extended by the ±7 smoothing margin and the (g-1) opening
-        # margin — exact, since run-membership ("j lies in a light run of
-        # length >= g") equals "some all-light g-window contains j", which is
-        # local within g-1 pixels.
+        # Coverage is only read inside [w_lo, w_hi]; compute it on a slice
+        # extended by the ±7 smoothing margin and g-1 pixels, which is exact:
+        # "j lies in a light run of length >= g" is local within g-1 pixels.
+        # Run-length form: pad each row with a dark column on both sides,
+        # take the run edges of the flattened mask in one pass, keep runs of
+        # length >= g (clipped to the slice, so a run counts exactly when an
+        # all-light g-window inside the slice holds it), and count covered
+        # rows per column with a +1/-1 cumsum.
         c0 = max(0, w_lo - half_w - (g - 1))
         c1 = min(seg_width, w_hi + 1 + half_w + (g - 1))
         sw = c1 - c0
-        nok = sw - g + 1  # in-slice all-light windows [k, k+g), k in [0, sw-g]
-        # Window membership via shifted boolean reductions, not cumsum scans:
-        # ok[k] = AND of g shifts of the light mask; covered[j] = OR of g
-        # shifts of zero-padded ok (the pad encodes the [k_lo, k_hi) clamps —
-        # windows straddling the slice edge exist only when the slice edge is
-        # the segment edge (c0==0 / c1==seg_width), where the clamp is exactly
-        # the reference's behavior). SIMD byte ops over the full-height slice
-        # in single passes: the scalar int16 cumsum scans + 128-row slab loop
-        # they replace cost 25x the light-compare floor in numpy small-array
-        # overhead (round-5 profile: 7.2 -> 0.8 ms per broadsheet segment);
-        # byte passes stream ~17 x height x sw ≈ 14 MB at DRAM bandwidth.
-        # The shifts run on FLATTENED contiguous buffers: a 2D shifted op on
-        # (height, ~sw) views pays numpy's per-row iteration setup ~height
-        # times per op (measured 5.3ms of the 6.7ms call); flat windows that
-        # would cross a row edge land only at per-row positions k >= nok
-        # (resp. j >= sw), which the final slices discard — so full-SIMD
-        # single passes are exact.
-        if nok > 0:
-            light = img[y_start:y_end, x_start + c0:x_start + c1] >= threshold
-            lf = light.ravel()                      # C-contiguous by constr.
-            n = lf.size
-            andbuf = np.empty(n, dtype=bool)
-            a = andbuf[:n - g + 1]
-            np.copyto(a, lf[:n - g + 1])
-            for t in range(1, g):
-                a &= lf[t:n - g + 1 + t]
-            swp = sw + g - 1
-            okpad = np.zeros((height, swp), dtype=bool)
-            okpad[:, g - 1:sw] = andbuf.reshape(height, sw)[:, :nok]
-            opf = okpad.ravel()
-            npad = opf.size
-            covbuf = np.empty(npad, dtype=bool)
-            c = covbuf[:npad - g + 1]
-            np.copyto(c, opf[:npad - g + 1])
-            for t in range(1, g):
-                c |= opf[t:npad - g + 1 + t]
-            coverage = covbuf.reshape(height, swp)[:, :sw].sum(
-                axis=0, dtype=np.int32).astype(np.float64)
-        else:
-            coverage = np.zeros(sw, dtype=np.float64)
+        pw = sw + 2
+        pf = np.empty((height, pw), dtype=bool)
+        pf[:, 0] = pf[:, -1] = False
+        np.greater_equal(img[y_start:y_end, x_start + c0:x_start + c1],
+                         threshold, out=pf[:, 1:-1])
+        flat = pf.ravel()
+        edges = np.flatnonzero(flat[1:] != flat[:-1])
+        starts, ends = edges[::2], edges[1::2]      # runs are [start, end)
+        long_run = ends - starts >= g
+        coverage = np.cumsum(
+            np.bincount(starts[long_run] % pw, minlength=sw + 1)
+            - np.bincount(ends[long_run] % pw, minlength=sw + 1))[:sw]
 
         # 15px centered moving average (never clamped: w_lo-7 >= 43 > 0).
         csum = np.concatenate(([0.0], np.cumsum(coverage)))
@@ -211,7 +171,6 @@ def detect_title_region(
     img: np.ndarray,
     boundaries: list[int],
     threshold: int = DARK_THRESHOLD,
-    dark: np.ndarray | None = None,
 ) -> tuple[tuple[int, int, int, int] | None, list[int]]:
     """Find a multi-column title region at the top of the page.
 
@@ -227,25 +186,17 @@ def detect_title_region(
     large_gap_min = 40
     scan_limit = int(height * 0.40)
     blank_frac = 0.01
-    if dark is not None:
-        dark_top = dark[:scan_limit]
-        row_counts = None
-    else:
-        # Per-row dark counts per column strip.  One contiguous-slice pass per
-        # strip (same total bytes as one full-page pass, each temp mask is a
-        # few hundred KB → cache-resident); strip semantics mirror
-        # np.add.reduceat(bounds=boundaries[:-1]): the last strip extends to
-        # the image edge, earlier strips end at the next boundary.  (Round 5
-        # measured the literal one-mask np.add.reduceat form 3x SLOWER —
-        # reduceat's inner loop is scalar — so the per-strip fused
-        # compare+sum stays.)
-        row_counts = np.empty((scan_limit, n_cols), dtype=np.int16)
-        for ci in range(n_cols):
-            sl = boundaries[ci]
-            sr = boundaries[ci + 1] if ci < n_cols - 1 else width
-            np.sum(img[:scan_limit, sl:sr] < threshold, axis=1,
-                   dtype=np.int16, out=row_counts[:, ci])
-        dark_top = None
+    # Per-row dark counts per column strip: one fused compare+sum per strip,
+    # each temp mask a few hundred KB. The last strip extends to the image
+    # edge, as np.add.reduceat(bounds=boundaries[:-1]) would; round 5
+    # measured that one-mask reduceat form 3x slower (its inner loop is
+    # scalar).
+    row_counts = np.empty((scan_limit, n_cols), dtype=np.int16)
+    for ci in range(n_cols):
+        sl = boundaries[ci]
+        sr = boundaries[ci + 1] if ci < n_cols - 1 else width
+        np.sum(img[:scan_limit, sl:sr] < threshold, axis=1,
+               dtype=np.int16, out=row_counts[:, ci])
 
     body_start_y = []
     for ci in range(n_cols):
@@ -254,11 +205,7 @@ def detect_title_region(
         if col_width < 30:
             body_start_y.append(0)
             continue
-        if row_counts is not None:
-            counts = row_counts[:, ci]
-        else:
-            counts = dark_top[:, x0:x1].sum(axis=1)
-        blank = counts < col_width * blank_frac
+        blank = row_counts[:, ci] < col_width * blank_frac
         # Last run of >= large_gap_min blank rows that *ends* (hits a non-blank
         # row) before scan_limit; body starts at the row after it.
         last_end = 0

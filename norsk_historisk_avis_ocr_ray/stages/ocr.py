@@ -23,7 +23,7 @@ and repack counts errors per document.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -160,7 +160,8 @@ def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
     none of its regions — never a job abort.
     """
     cols: list[list] = [[] for _ in PAGE_REGION_FIELDS]
-    page_rows = zip(*(pages[c].to_pylist() for c in PAGE_COLUMNS))
+    page_rows = zip(pages["media_ref"].to_pylist(), _payloads(pages["image"]),
+                    *(pages[c].to_pylist() for c in ("width", "height", "codec")))
     for ref, buf, w, h, codec in page_rows:
         try:
             img, profiles = decode_with_band_profiles(
@@ -179,6 +180,21 @@ def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
                 c.append(v)
     arrays = [pa.array(c, type=f[1]) for c, f in zip(cols, PAGE_REGION_FIELDS)]
     return pa.Table.from_arrays(arrays, schema=PAGE_REGION_SCHEMA)
+
+
+def _payloads(col: pa.ChunkedArray) -> Iterator[pa.Buffer | None]:
+    """A binary column as zero-copy ``pa.Buffer`` slices of its data buffer
+    (None for a null). ``to_pylist()``, and ``Scalar.as_buffer()`` too,
+    would copy each payload into a new buffer."""
+    for chunk in col.chunks:
+        if not len(chunk):
+            continue
+        _, offsets, data = chunk.buffers()
+        data = data or pa.py_buffer(b"")
+        off = np.frombuffer(offsets, np.int64 if pa.types.is_large_binary(
+            chunk.type) else np.int32)[chunk.offset:chunk.offset + len(chunk) + 1]
+        for i, valid in enumerate(chunk.is_valid().to_pylist()):
+            yield data.slice(off[i], off[i + 1] - off[i]) if valid else None
 
 
 class LayoutOcrStage:

@@ -6,6 +6,7 @@ import struct
 import zlib
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from norsk_historisk_avis_ocr_ray.sources.codec import decode_image, encode_image
@@ -340,6 +341,9 @@ def test_tiff_packbits_strips_and_big_endian():
     for e in ("<", ">"):
         buf = _tiff_with_strips(img, 32773, strips, e=e)
         np.testing.assert_array_equal(decode_tiff(buf), img)
+        # the page kernel passes a zero-copy pa.Buffer, not bytes
+        np.testing.assert_array_equal(
+            decode_image(pa.py_buffer(buf), 10, 6, "tiff"), img)
 
     # run-compressed form too: 10 x 200 = (257-10+... ) replicate op
     rep = bytes([256 - 9, 200])  # -9 → repeat next byte 10 times
@@ -348,6 +352,8 @@ def test_tiff_packbits_strips_and_big_endian():
     strips = [rep + lit]
     buf = _tiff_with_strips(one_row, 32773, strips)
     np.testing.assert_array_equal(decode_tiff(buf), one_row)
+    np.testing.assert_array_equal(
+        decode_image(pa.py_buffer(buf), 10, 2, "tiff"), one_row)
 
 
 def test_tiff_lzw_known_vector():
@@ -361,6 +367,8 @@ def test_tiff_lzw_known_vector():
     img = np.frombuffer(b"aaabbb", np.uint8).reshape(2, 3)
     buf = _tiff_with_strips(img, 5, [data])
     np.testing.assert_array_equal(decode_tiff(buf), img)
+    np.testing.assert_array_equal(
+        decode_image(pa.py_buffer(buf), 3, 2, "tiff"), img)
 
 
 def test_tiff_rejects_unsupported():

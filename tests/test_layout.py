@@ -85,7 +85,7 @@ def _find_gap_boundaries_r4(img, x_start, x_end, y_start, y_end,
                             expected_col_width, threshold=200,
                             min_gap_px=8, min_coverage=0.55):
     """The round-4 cumsum formulation (driver-hash-proven e2e), kept as the
-    equivalence reference for the flattened boolean-shift rewrite."""
+    equivalence reference for the run-length rewrite."""
     seg_width = x_end - x_start
     height = y_end - y_start
     if seg_width < 50 or height < 50:
@@ -132,9 +132,9 @@ def _find_gap_boundaries_r4(img, x_start, x_end, y_start, y_end,
 
 
 class TestGapBoundaryEquivalence:
-    """The flattened boolean-shift rewrite must match the round-4 cumsum
-    formulation bit-for-bit on randomized inputs, across gap widths and
-    segment geometries (incl. slice-at-segment-edge clamps and the
+    """The run-length rewrite must match the round-4 cumsum formulation
+    bit-for-bit on randomized inputs, across gap widths and segment
+    geometries (incl. slice-at-segment-edge clamps and the
     sw < min_gap_px degenerate)."""
 
     def test_randomized_equivalence(self):
@@ -180,6 +180,56 @@ class TestGapBoundaryEquivalence:
         want = _find_gap_boundaries_r4(img, 0, 600, 0, 200, 300,
                                        min_gap_px=700)
         assert got == want == []
+
+    @pytest.mark.parametrize("g", [1, 2, 15, 40])
+    @pytest.mark.parametrize("fill", [0, 255])
+    def test_uniform_windows(self, g, fill):
+        # all-dark (no runs at all) and all-light (one run per row, from
+        # slice edge to slice edge) windows
+        img = np.full((120, 900), fill, np.uint8)
+        for x0, x1 in ((0, 900), (37, 861)):
+            got = find_gap_boundaries(img, x0, x1, 0, 120, 300, min_gap_px=g)
+            want = _find_gap_boundaries_r4(img, x0, x1, 0, 120, 300,
+                                           min_gap_px=g)
+            assert got == want, (x0, x1)
+
+    @pytest.mark.parametrize("g", [1, 3, 15])
+    def test_runs_touching_slice_edges(self, g):
+        # light runs that cross the margin-extended slice on either side
+        # (clipped to shorter than g, or not) and runs that end exactly at
+        # the segment edges; the segment is x in [20, 820), expected column
+        # 400 → one window, slice [w_lo-7-(g-1), w_hi+8+(g-1)) around 400
+        rng = np.random.default_rng(g)
+        img = np.zeros((90, 840), np.uint8)
+        seg0, seg1 = 20, 820
+        w_lo, w_hi = 400 - 120, 400 + 120
+        c0 = seg0 + w_lo - 7 - (g - 1)
+        c1 = seg0 + w_hi + 1 + 7 + (g - 1)
+        for row in range(90):
+            for edge in (c0, c1):
+                a = edge - int(rng.integers(0, 2 * g + 2))
+                img[row, a:a + int(rng.integers(1, 3 * g + 3))] = 255
+            img[row, seg0:seg0 + int(rng.integers(0, 2 * g + 2))] = 255
+            img[row, seg1 - int(rng.integers(0, 2 * g + 2)):seg1] = 255
+            gx = int(rng.integers(c0, c1))
+            img[row, gx:gx + int(rng.integers(g, g + 20))] = 255
+        got = find_gap_boundaries(img, seg0, seg1, 0, 90, 400, min_gap_px=g,
+                                  min_coverage=0.0)
+        want = _find_gap_boundaries_r4(img, seg0, seg1, 0, 90, 400,
+                                       min_gap_px=g, min_coverage=0.0)
+        assert got == want and len(got) == 1
+
+    @pytest.mark.parametrize("g", [1, 2, 15])
+    def test_runs_of_exactly_min_gap(self, g):
+        # a run of exactly g covers its columns, one of g-1 covers nothing
+        img = np.zeros((60, 900), np.uint8)
+        img[:, 380:380 + g] = 255
+        img[:, 460:460 + g - 1] = 255
+        got = find_gap_boundaries(img, 0, 900, 0, 60, 450, min_gap_px=g,
+                                  min_coverage=0.0)
+        want = _find_gap_boundaries_r4(img, 0, 900, 0, 60, 450,
+                                       min_gap_px=g, min_coverage=0.0)
+        assert got == want == [372 + g]  # first 15px window holding it
 
     def test_gap_wider_than_search_window_still_covers(self):
         # g wider than the search window but inside the margin-extended

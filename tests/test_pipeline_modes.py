@@ -250,6 +250,17 @@ def test_zero_row_pages_make_every_media_span_missing(corpus_dir):
     assert sum(r["n_errors"] for r in got) > 0
 
 
+def test_zero_row_documents_give_zero_rows(corpus_dir, tmp_path):
+    # no span batch reaches the join's left side at all
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{corpus_dir}/documents").slice(0, 0)
+    pq.write_table(docs, str(tmp_path / "docs.parquet"))
+    _, pages = _docs_pages(corpus_dir)
+    out = extract(ray.data.read_parquet(str(tmp_path / "docs.parquet")), pages)
+    assert out.count() == 0
+
+
 def test_nested_pages_directory_keeps_every_page(corpus_dir, tmp_path):
     # half the pages in a subdirectory (a partitioned layout): none may be
     # dropped by the largest-file-first listing
