@@ -55,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="S8 debug pass: annotated-page bundles per page")
     pd.add_argument("--pages", required=True, help="pages parquet dir")
     pd.add_argument("--out", required=True, help="debug output root")
-    pd.add_argument("--concurrency", type=int, default=4)
     pd.add_argument("--num-cpus", type=int, default=None)
 
     pq_ = sub.add_parser("query",
@@ -132,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "debug-render":
         from .stages.debug_render import render_debug
 
-        summary = render_debug(args.pages, args.out,
-                               concurrency=args.concurrency)
+        summary = render_debug(args.pages, args.out)
         stats = summary.to_pandas()
         print(json.dumps({"pages": int(len(stats)),
                           "skipped": int(stats["skipped"].sum()),

@@ -104,22 +104,11 @@ def readable_diff(before: str, after: str) -> str:
 
 # --- batch-level wrappers (Arrow in / Arrow out) ----------------------------
 
-def _map_string_column(tbl: pa.Table, col: str, fn, out_col: str | None = None) -> pa.Table:
-    """Apply a scalar str→str fn over one string column of an Arrow table."""
-    vals = tbl[col].to_pylist()
-    out = pa.array([None if v is None else fn(v) for v in vals], type=pa.string())
-    name = out_col or col
-    if name in tbl.column_names:
-        return tbl.set_column(tbl.column_names.index(name), name, out)
-    return tbl.append_column(name, out)
-
-
 def clean_batch(tbl: pa.Table, col: str = "text") -> pa.Table:
-    return _map_string_column(tbl, col, clean_divider_noise)
-
-
-def reflow_batch(tbl: pa.Table, col: str = "text", out_col: str = "reflowed") -> pa.Table:
-    return _map_string_column(tbl, col, reflow_text, out_col)
+    """``clean_divider_noise`` over one string column of an Arrow table."""
+    out = pa.array([None if v is None else clean_divider_noise(v)
+                    for v in tbl[col].to_pylist()], type=pa.string())
+    return tbl.set_column(tbl.column_names.index(col), col, out)
 
 
 def whitespace_token_counts(texts: pa.ChunkedArray | pa.Array) -> np.ndarray:

@@ -25,7 +25,6 @@ move text only.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import Any, Callable
 
@@ -53,7 +52,6 @@ def extract(
     engine_factory: Callable[[], Any] = MockBarcodeOcr,
     correction: bool = True,
     emit_diff: bool = True,
-    span_checkpoint: str | None = None,
     ocr_concurrency: Any = None,
     ocr_batch_size: Any = None,
     media_resolution: str = "auto",
@@ -77,14 +75,11 @@ def extract(
     the dataflow pass of ``perfbench/session.py`` still passes them.
     ``media_resolution`` other than 'auto' or 'dataflow' is a ``ValueError``.
 
-    span_checkpoint: the join path consumes the exploded span stream in TWO
-    branches (media spans → join; other spans → passthrough), and a lazy
-    Dataset re-executes its plan per consumer. With a directory given, the
-    stream is checkpointed to parquet there once (streaming block-by-block
-    write — disk/DFS-resident, resumable) and both branches read it back
-    with column pruning. With None (default), each branch recomputes the
-    read+explode — 2× source-read I/O. Neither pins the corpus-sized span
-    stream in the object store, as ``materialize()`` would.
+    The join path consumes the exploded span stream in two branches (media
+    spans → join; other spans → passthrough), and a lazy Dataset re-executes
+    its plan per consumer: each branch recomputes the read + explode rather
+    than pinning the corpus-sized span stream in the object store, as
+    ``materialize()`` would.
     """
     if media_resolution not in ("auto", "dataflow"):
         raise ValueError(f"unknown media_resolution {media_resolution!r}; "
@@ -96,8 +91,8 @@ def extract(
         regions = exploded.map_batches(resolve_spans, batch_format="pyarrow")
     else:
         if isinstance(pages, str):
-            pages_ds = ray.data.read_parquet(_lpt_parquet_paths(pages),
-                                             columns=PAGE_COLUMNS)
+            pages_ds = ray.data.read_parquet(pages, columns=PAGE_COLUMNS,
+                                             file_extensions=["parquet"])
         elif isinstance(pages, Dataset):
             pages_ds = pages.select_columns(PAGE_COLUMNS)
         else:
@@ -115,19 +110,12 @@ def extract(
         media_texts = ray.data.from_arrow(_null_row(PAGE_REGION_SCHEMA)).union(
             pages_ds.map_batches(LayoutOcrStage(engine_factory),
                                  batch_format="pyarrow", batch_size=None))
-        media_src = rest_src = exploded
-        if span_checkpoint is not None:
-            ckpt = os.path.join(span_checkpoint, "exploded_spans")
-            exploded.write_parquet(ckpt)
-            media_src = ray.data.read_parquet(
-                ckpt, columns=["doc_id", "in_offset", "kind", "media_ref"])
-            rest_src = ray.data.read_parquet(ckpt)
         docs_schema = docs.schema()
         doc_id_type = docs_schema.types[docs_schema.names.index("doc_id")]
         media_spans = ray.data.from_arrow(_null_row(pa.schema([
             ("doc_id", doc_id_type), ("in_offset", pa.int32()),
             ("media_ref", pa.string())]))).union(
-            media_src.map_batches(_media_keys, batch_format="pyarrow"))
+            exploded.map_batches(_media_keys, batch_format="pyarrow"))
         # The join moves text only, so its aggregators reserve no CPU: Ray's
         # default of up to half the session's CPUs starves the read → OCR
         # tasks on a small or busy session and the executor stalls.
@@ -139,7 +127,7 @@ def extract(
                             "num_cpus": 0, "scheduling_strategy": "SPREAD"})
                   .filter(expr="is_valid(doc_id)")
                   .map_batches(finalize_media, batch_format="pyarrow"))
-        rest = rest_src.filter(expr="kind != 'media'").map_batches(
+        rest = exploded.filter(expr="kind != 'media'").map_batches(
             passthrough_spans, batch_format="pyarrow")
         regions = joined.union(rest)
 
@@ -197,18 +185,3 @@ def _media_keys(t: pa.Table) -> pa.Table:
     return _one_row_if_empty(t.filter(pc.equal(t["kind"], "media")).select(
         ["doc_id", "in_offset", "media_ref"]))
 
-
-def _lpt_parquet_paths(path: str) -> "str | list[str]":
-    """Largest-file-first ordering for a pages directory (LPT schedule,
-    same rationale as sharded.list_shards): read tasks are launched roughly
-    in input order, so heavy page files land early and the final OCR wave
-    holds only small ones — scheduling only, per-file results unchanged.
-    Non-directories (single file, remote URI) and directories with
-    subdirectories (partitioned layouts) pass through untouched."""
-    if not os.path.isdir(path):
-        return path
-    entries = [os.path.join(path, f) for f in os.listdir(path)]
-    files = [p for p in entries if p.endswith(".parquet") and os.path.isfile(p)]
-    if not files or any(os.path.isdir(p) for p in entries):
-        return path  # nested layout: let read_parquet walk the directory
-    return sorted(files, key=lambda p: -os.path.getsize(p))

@@ -73,7 +73,6 @@ def run_resumable(
     engine_factory: Callable[[], Any] = MockBarcodeOcr,
     correction: bool = True,
     emit_diff: bool = True,
-    max_in_flight: int | None = None,
     fail_after: int | None = None,  # test hook: stop after N commits
 ) -> dict:
     """Process pending shards; returns run summary. Safe to re-run."""
@@ -87,7 +86,7 @@ def run_resumable(
     it = iter(pending)
     # Sized from the session's total CPUs, not the free ones: a busy session
     # must queue shards, not submit none.
-    limit = max_in_flight or max(1, int(ray.cluster_resources().get("CPU", 1)))
+    limit = max(1, int(ray.cluster_resources().get("CPU", 1)))
 
     def submit_next():
         name = next(it, None)

@@ -129,9 +129,9 @@ def extract_sharded(
     shards = list_shards(corpus_dir)
     if not shards:
         raise ValueError(f"no document shards under {corpus_dir!r}")
-    ds = ray.data.from_items(shards)
-    # one task per shard row; override_num_blocks so each shard is a block
-    ds = ds.repartition(len(shards))
+    # one block per shard at the source, so one task per shard and no
+    # repartition barrier before the first task starts
+    ds = ray.data.from_items(shards, override_num_blocks=len(shards))
     return ds.map_batches(
         _shard_task_fn(engine_factory, correction, emit_diff),
         batch_format="pyarrow", batch_size=1,

@@ -164,29 +164,40 @@ def decode_tiff(buf: bytes) -> np.ndarray:
         raise NotImplementedError(
             f"TIFF compression {comp} unsupported (none/LZW/PackBits only)")
 
-    offsets = tags[_STRIP_OFFSETS]
-    counts = tags[_STRIP_COUNTS]
     rows_per_strip = tags.get(_ROWS_PER_STRIP, [h])[0]
     row_bytes = w * spp
-    raw = bytearray()
-    for si, (off, cnt) in enumerate(zip(offsets, counts)):
+    predictor = tags.get(_PREDICTOR, [1])[0]
+    # Each strip is written once into the page; a short strip, or too few
+    # strips, is a ValueError, never a sheared page.
+    page = np.empty(h * row_bytes, np.uint8)
+    pos = 0
+    for si, (off, cnt) in enumerate(zip(tags[_STRIP_OFFSETS],
+                                        tags[_STRIP_COUNTS])):
+        if pos == page.size:
+            break
         nrows = min(rows_per_strip, h - si * rows_per_strip)
         expected = nrows * row_bytes
         chunk = buf[off : off + cnt]
         if comp == 1:
-            raw += chunk[:expected]
+            data = chunk
         elif comp == 32773:
-            raw += _unpackbits(chunk, expected)
+            data = _unpackbits(chunk, expected)
         else:
-            strip = np.frombuffer(_unlzw(chunk, expected), np.uint8).copy()
-            if tags.get(_PREDICTOR, [1])[0] == 2:  # horizontal differencing
-                s = strip.reshape(nrows, w, spp).astype(np.uint8)
-                np.cumsum(s, axis=1, dtype=np.uint8, out=s)
-                strip = s.ravel()
-            raw += strip.tobytes()
-    img = np.frombuffer(bytes(raw), np.uint8, h * row_bytes).reshape(h, w, spp)
+            data = _unlzw(chunk, expected)
+        if len(data) < expected:
+            raise ValueError(f"TIFF strip {si} holds {len(data)} bytes, "
+                             f"expected {expected}")
+        dst = page[pos : pos + expected]
+        dst[:] = np.frombuffer(data, np.uint8, expected)
+        pos += expected
+        if comp == 5 and predictor == 2:  # horizontal differencing
+            s = dst.reshape(nrows, w, spp)
+            np.cumsum(s, axis=1, dtype=np.uint8, out=s)
+    if pos < page.size:
+        raise ValueError(f"TIFF strips hold {pos} bytes, expected {page.size}")
     if spp == 1:
-        return np.ascontiguousarray(img[:, :, 0])
+        return page.reshape(h, w)
+    img = page.reshape(h, w, spp)
     rgb = img[:, :, :3].astype(np.float64)
     return np.clip(
         0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2],

@@ -8,11 +8,12 @@ dictionary lookup so golden tests are exact (the reference's correction is its
 least deterministic stage and is excluded from its own notion of correctness).
 An LLM adapter can be slotted behind the same ``correct(text) -> str`` surface.
 
-``CorrectorStage`` is an actor-pool ``map_batches`` stage: the lexicon is
-compiled once per actor in ``__init__`` (per-worker state, reference M3/M4),
-correction runs per batch over the ``transcribed_raw`` column with the
-corrected-or-raw fallback of ``tesseract_claude_engine.py:124-137`` and the
-word-level audit diff (T3).
+``CorrectorStage`` compiles the lexicon once in ``__init__`` (per-worker
+state, reference M3/M4) and corrects a batch's ``transcribed_raw`` column
+with the corrected-or-raw fallback of ``tesseract_claude_engine.py:124-137``
+and the word-level audit diff (T3). The shard kernel calls it in process;
+the dataflow pipeline maps ``correct_batch`` as Ray tasks, with one cached
+instance per worker process.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ CONFUSION_PAIRS: list[tuple[str, str]] = [
 
 # Compact 1950s-Norwegian-flavoured lexicon: common function words + the
 # content vocabulary used by the synthetic corpus generator. A production
-# deployment would load a full wordlist here (per-actor state).
+# deployment would load a full wordlist here (per-worker state).
 LEXICON_WORDS = """
 og i det som en av på til er for med at han hun den de ikke var fra om men seg
 et har vi du jeg meg sin sitt sine da når hvor hvad bleven over under etter før
@@ -116,12 +117,10 @@ class NorwegianNormalizer:
 class CorrectorStage:
     """Adds ``transcribed``/``corrected``/``diff`` columns.
 
-    Usable two ways: as an actor-pool callable class
-    (``map_batches(CorrectorStage, concurrency=N)``) or, via
-    ``correct_batch``, as stateless tasks with a per-process cached instance —
-    the task form lets Ray fuse it with the repack ``map_groups`` stage and
-    scale both elastically on CPUs the OCR pool leaves free (no fixed pool to
-    misconfigure), while the lexicon is still built once per worker process.
+    Called in process by ``pipelines.sharded.process_shard``, and through
+    ``correct_batch`` as Ray tasks with a per-process cached instance, so
+    the lexicon is built once per worker process and there is no pool to
+    size.
     """
 
     def __init__(self, enabled: bool = True, emit_diff: bool = True,
@@ -130,7 +129,7 @@ class CorrectorStage:
         self.emit_diff = emit_diff
         # corrector slot: anything with correct(text) -> str | None — the
         # deterministic normalizer by default, stages.llm_ocr.LlmCorrector
-        # for the reference's LLM pass (built once per actor; a None return
+        # for the reference's LLM pass (built once per instance; a None return
         # falls back to the raw text, tesseract_claude_engine.py:124-137).
         self.normalizer = (corrector_factory() if corrector_factory
                            else NorwegianNormalizer())

@@ -1,8 +1,9 @@
 """S8 debug rendering: annotated-page bundles (reference ``_columns.py:294-418``).
 
-Flag-gated, off the hot path: a separate actor-pool ``map_batches`` pass over
-the *pages* dataset that re-runs layout analysis and writes, per page, the
-reference's debug bundle under ``debug_dir/<media_ref>/``:
+Flag-gated, off the hot path: a separate ``map_batches`` pass over the
+*pages* dataset, run as Ray tasks like the OCR stage, that re-runs layout
+analysis and writes, per page, the reference's debug bundle under
+``debug_dir/<media_ref>/``:
 
 - ``page_annotated.png``   — blue column-boundary lines, green title box with
   shaded fill + "TITLE" label, green per-column body-top lines, red
@@ -25,9 +26,10 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..sources.codec import decode_image
+from ..sources.codec import decode_with_band_profiles
 from ..sources.png import encode_png
-from .layout import OVERLAP_PX, LayoutResult, split_columns
+from .layout import DARK_THRESHOLD, OVERLAP_PX, LayoutResult, split_columns
+from .ocr import page_rows
 
 BLUE = np.array([40, 40, 220], np.uint8)
 GREEN = np.array([0, 200, 0], np.uint8)
@@ -90,8 +92,7 @@ def _outline_rect(canvas: np.ndarray, box: tuple[int, int, int, int],
     _blend_rect(canvas, (x1 - width, y0, x1, y1), color, 1.0)
 
 
-def annotate_page(img: np.ndarray, layout: LayoutResult,
-                  overlap_px: int = OVERLAP_PX) -> np.ndarray:
+def annotate_page(img: np.ndarray, layout: LayoutResult) -> np.ndarray:
     """Grayscale page + layout → annotated RGB canvas (reference parity:
     ``_save_debug_images``, ``_columns.py:294-418``)."""
     height, width = img.shape
@@ -120,11 +121,10 @@ def annotate_page(img: np.ndarray, layout: LayoutResult,
             _hline(canvas, body_top[i], boundaries[i], boundaries[i + 1],
                    GREEN, width=4)
 
-    if overlap_px > 0:
-        for bx in boundaries:
-            if 0 < bx < width:
-                _blend_rect(canvas, (bx - overlap_px, 0, bx + overlap_px, height),
-                            RED, 40 / 255)
+    for bx in boundaries:
+        if 0 < bx < width:
+            _blend_rect(canvas, (bx - OVERLAP_PX, 0, bx + OVERLAP_PX, height),
+                        RED, 40 / 255)
 
     for i in range(n_cols):
         cx = (boundaries[i] + boundaries[i + 1]) // 2
@@ -133,15 +133,14 @@ def annotate_page(img: np.ndarray, layout: LayoutResult,
     return canvas
 
 
-def detection_info(layout: LayoutResult, width: int, height: int,
-                   overlap_px: int = OVERLAP_PX) -> str:
+def detection_info(layout: LayoutResult, width: int, height: int) -> str:
     """The reference's ``detection_info.txt`` report (``_columns.py:383-418``)."""
     boundaries = layout.boundaries
     n_cols = layout.n_cols
     body_top = list(layout.body_top) + [0] * max(0, n_cols - len(layout.body_top))
     lines = [
         f"Image size: {width} x {height}",
-        f"Overlap padding: {overlap_px}px",
+        f"Overlap padding: {OVERLAP_PX}px",
         f"Boundaries: {boundaries}",
         f"Columns: {n_cols}",
     ]
@@ -158,8 +157,8 @@ def detection_info(layout: LayoutResult, width: int, height: int,
     lines.append("")
     for i in range(n_cols):
         w = boundaries[i + 1] - boundaries[i]
-        pad_l = min(overlap_px, boundaries[i])
-        pad_r = min(overlap_px, width - boundaries[i + 1])
+        pad_l = min(OVERLAP_PX, boundaries[i])
+        pad_r = min(OVERLAP_PX, width - boundaries[i + 1])
         lines.append(
             f"  Column {i + 1}: x={boundaries[i]}-{boundaries[i + 1]}, "
             f"width={w}px, crop={w + pad_l + pad_r}px "
@@ -167,14 +166,12 @@ def detection_info(layout: LayoutResult, width: int, height: int,
     return "\n".join(lines) + "\n"
 
 
-def render_debug_bundle(img: np.ndarray, layout: LayoutResult,
-                        overlap_px: int = OVERLAP_PX) -> dict[str, bytes]:
+def render_debug_bundle(img: np.ndarray, layout: LayoutResult) -> dict[str, bytes]:
     """One page → ``{filename: bytes}`` debug bundle (reference file names)."""
     height, width = img.shape
     out: dict[str, bytes] = {
-        "page_annotated.png": encode_png(annotate_page(img, layout, overlap_px)),
-        "detection_info.txt": detection_info(layout, width, height,
-                                             overlap_px).encode(),
+        "page_annotated.png": encode_png(annotate_page(img, layout)),
+        "detection_info.txt": detection_info(layout, width, height).encode(),
     }
     if layout.title_box is not None:
         x0, y0, x1, y1 = layout.title_box
@@ -183,8 +180,8 @@ def render_debug_bundle(img: np.ndarray, layout: LayoutResult,
     body_top = (list(layout.body_top)
                 + [0] * max(0, layout.n_cols - len(layout.body_top)))
     for i in range(layout.n_cols):
-        left = max(0, boundaries[i] - overlap_px)
-        right = min(width, boundaries[i + 1] + overlap_px)
+        left = max(0, boundaries[i] - OVERLAP_PX)
+        right = min(width, boundaries[i + 1] + OVERLAP_PX)
         if right - left < 30:
             continue
         out[f"column_{i + 1}_crop.png"] = encode_png(
@@ -201,25 +198,23 @@ DEBUG_OUT_SCHEMA = pa.schema([
 ])
 
 
-class DebugRenderStage:
-    """Actor-pool stage over the pages dataset: decode → layout → write the
-    annotated bundle under ``debug_dir/<media_ref>/``. Resumable: a page whose
-    ``_DONE`` marker exists is skipped. Use small ``batch_size`` — rows carry
-    full-page image payloads."""
+# Pages per task: rows carry full-page image payloads.
+BATCH_SIZE = 8
 
-    def __init__(self, debug_dir: str, overlap_px: int = OVERLAP_PX):
+
+class DebugRenderStage:
+    """Ray form of the debug pass, like ``LayoutOcrStage``: a callable
+    instance passed to ``map_batches`` runs as Ray tasks. Per page: decode →
+    layout → write the annotated bundle under ``debug_dir/<media_ref>/``.
+    Resumable: a page whose ``_DONE`` marker exists is skipped."""
+
+    def __init__(self, debug_dir: str):
         self.debug_dir = debug_dir
-        self.overlap_px = overlap_px
         os.makedirs(debug_dir, exist_ok=True)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        refs = batch["media_ref"].to_pylist()
-        imgs = batch["image"].to_pylist()
-        widths = batch["width"].to_pylist()
-        heights = batch["height"].to_pylist()
-        codecs = batch["codec"].to_pylist()
         rows = []
-        for ref, buf, w, h, codec in zip(refs, imgs, widths, heights, codecs):
+        for ref, buf, w, h, codec in page_rows(batch):
             page_dir = os.path.join(self.debug_dir, str(ref))
             done = os.path.join(page_dir, "_DONE")
             if os.path.exists(done):
@@ -227,9 +222,10 @@ class DebugRenderStage:
                              "title_detected": False, "n_files": 0,
                              "skipped": True})
                 continue
-            img = decode_image(buf, w, h, codec or "raw-zlib")
-            layout = split_columns(img, overlap_px=self.overlap_px)
-            bundle = render_debug_bundle(img, layout, self.overlap_px)
+            img, profiles = decode_with_band_profiles(
+                buf, w, h, codec, threshold=DARK_THRESHOLD)
+            layout = split_columns(img, band_profiles=profiles)
+            bundle = render_debug_bundle(img, layout)
             os.makedirs(page_dir, exist_ok=True)
             for name, payload in bundle.items():
                 with open(os.path.join(page_dir, name), "wb") as f:
@@ -242,25 +238,14 @@ class DebugRenderStage:
         return pa.Table.from_pylist(rows, schema=DEBUG_OUT_SCHEMA)
 
 
-def render_debug(pages, debug_dir: str, *, overlap_px: int = OVERLAP_PX,
-                 concurrency: int = 4, batch_size: int = 8):
+def render_debug(pages, debug_dir: str):
     """Flag-gated debug pass: ``pages`` is a ``ray.data.Dataset`` with
     ``media_ref/image/width/height/codec`` columns (or a parquet dir path).
-    Returns the summary Dataset (consume it to drive the writes)."""
-    import ray
+    Returns the summary Dataset (consume it to drive the writes). Every
+    step is a task, so the pass shares whatever CPUs the session has free."""
     import ray.data
-
-    # Leave at least one CPU for the upstream read tasks — an actor pool that
-    # reserves every core deadlocks the streaming executor on small sessions.
-    total_cpus = int(ray.cluster_resources().get("CPU", concurrency + 1))
-    concurrency = max(1, min(concurrency, total_cpus - 1))
 
     if isinstance(pages, str):
         pages = ray.data.read_parquet(pages)
-    return pages.map_batches(
-        DebugRenderStage,
-        fn_constructor_kwargs={"debug_dir": debug_dir, "overlap_px": overlap_px},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+    return pages.map_batches(DebugRenderStage(debug_dir),
+                             batch_format="pyarrow", batch_size=BATCH_SIZE)

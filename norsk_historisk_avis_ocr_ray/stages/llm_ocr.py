@@ -2,7 +2,8 @@
 API error taxonomy (M5), behind the existing ``OcrEngine`` protocol.
 
 Mirrors the contract of the reference's flagship engine
-(``claude_vision_engine.py``) re-expressed for an actor pool:
+(``claude_vision_engine.py``) re-expressed for Ray tasks, where the engine
+is built and loaded once per worker process (``stages.ocr.cached_engine``):
 
 - **Prompts** (reference ``claude_vision_engine.py:31-74``): a system prompt
   encoding the column-discipline transcription rules, plus region-specific
@@ -13,13 +14,13 @@ Mirrors the contract of the reference's flagship engine
   and non-interactive — a distributed worker can't getpass-prompt, so the
   reference's interactive fallback maps to a clear ``ConfigError``. Priority:
   ``ANTHROPIC_API_KEY`` → direct API; AWS credentials → Bedrock (public model
-  id mapping); else error. Client construction happens once per actor in
-  ``load()``.
+  id mapping); else error. Client construction happens once per worker
+  process in ``load()``.
 - **Error taxonomy** (reference ``claude_vision_engine.py:216-260``):
   exceptions classify as *retryable* (connection, timeout, rate limit,
   overloaded, 5xx) — retried in-engine with exponential backoff — or *fatal*
   (auth, permission, bad request), raised immediately. A fatal auth error
-  opens a circuit so subsequent calls in the same actor fail fast instead of
+  opens a circuit so subsequent calls in the same process fail fast instead of
   hammering the API once per row. The OCR stages catch either into the
   per-row ``error`` column (the job never aborts — policy fix over the
   reference's whole-file abort at ``claude_vision_engine.py:320-321``).
@@ -179,8 +180,9 @@ MAX_IMAGE_BYTES = 5 * 1024 * 1024  # API limit on raw encoded bytes
 
 
 class AnthropicVisionOcr:
-    """Vision-OCR engine for the actor-pool stages (``OcrEngine`` protocol:
-    ``load()`` once per actor, ``ocr_region(img, ...) -> str`` per region).
+    """Vision-OCR engine for the OCR stages (``OcrEngine`` protocol:
+    ``load()`` once per worker process, ``ocr_region(img, ...) -> str`` per
+    region).
 
     ``client_factory`` injects a fake for tests; production leaves it None
     and resolves auth from the environment in ``load()``.

@@ -160,12 +160,10 @@ def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
     none of its regions — never a job abort.
     """
     cols: list[list] = [[] for _ in PAGE_REGION_FIELDS]
-    page_rows = zip(pages["media_ref"].to_pylist(), _payloads(pages["image"]),
-                    *(pages[c].to_pylist() for c in ("width", "height", "codec")))
-    for ref, buf, w, h, codec in page_rows:
+    for ref, buf, w, h, codec in page_rows(pages):
         try:
             img, profiles = decode_with_band_profiles(
-                buf, w, h, codec or "raw-zlib", threshold=DARK_THRESHOLD)
+                buf, w, h, codec, threshold=DARK_THRESHOLD)
             layout = split_columns(img, band_profiles=profiles)
             rows = [(ref, region_idx, "text",
                      engine.ocr_region(img[y0:y1, x0:x1], region_kind=kind,
@@ -180,6 +178,15 @@ def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
                 c.append(v)
     arrays = [pa.array(c, type=f[1]) for c, f in zip(cols, PAGE_REGION_FIELDS)]
     return pa.Table.from_arrays(arrays, schema=PAGE_REGION_SCHEMA)
+
+
+def page_rows(pages: pa.Table) -> Iterator[tuple]:
+    """The one page loader: page rows (``PAGE_COLUMNS``) as ``(media_ref,
+    payload, width, height, codec)``, the payload a zero-copy buffer and a
+    missing codec ``raw-zlib``."""
+    return zip(pages["media_ref"].to_pylist(), _payloads(pages["image"]),
+               pages["width"].to_pylist(), pages["height"].to_pylist(),
+               (c or "raw-zlib" for c in pages["codec"].to_pylist()))
 
 
 def _payloads(col: pa.ChunkedArray) -> Iterator[pa.Buffer | None]:

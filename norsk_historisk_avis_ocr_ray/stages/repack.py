@@ -142,8 +142,3 @@ def repack_table(tbl: pa.Table) -> pa.Table:
          combined, transcribed_raw, pa.array(n_errors, pa.int32())],
         schema=REPACKED_SCHEMA,
     )
-
-
-def repack_group(group: pa.Table) -> pa.Table:
-    """Per-group form for ``groupby("doc_id").map_groups`` (one doc)."""
-    return repack_table(group)

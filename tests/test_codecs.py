@@ -356,6 +356,35 @@ def test_tiff_packbits_strips_and_big_endian():
         decode_image(pa.py_buffer(buf), 10, 2, "tiff"), one_row)
 
 
+def test_tiff_truncated_strips_raise_and_are_page_errors():
+    # a strip shorter than its rows (uncompressed: cut payload; PackBits: cut
+    # run stream) must raise, never leave part of the page unwritten; through
+    # the page kernel each such page is one error row
+    from norsk_historisk_avis_ocr_ray.sources.tiff import decode_tiff
+    from norsk_historisk_avis_ocr_ray.stages.ocr import MockBarcodeOcr, ocr_pages
+
+    img = np.arange(60, dtype=np.uint8).reshape(6, 10)
+    literal = bytes([29]) + img[3:6].tobytes()  # one 30-byte literal run
+    bad = {
+        "raw": _tiff_with_strips(img, 1, [img[0:3].tobytes(),
+                                          img[3:6].tobytes()[:-5]]),
+        "packbits": _tiff_with_strips(
+            img, 32773, [bytes([29]) + img[0:3].tobytes(), literal[:-5]]),
+    }
+    for buf in bad.values():
+        with pytest.raises(ValueError, match="strip 1"):
+            decode_tiff(buf)
+    pages = pa.table({"media_ref": list(bad),
+                      "image": list(bad.values()),
+                      "width": [10, 10], "height": [6, 6],
+                      "codec": ["tiff", "tiff"]})
+    out = ocr_pages(pages, MockBarcodeOcr())
+    assert out["media_ref"].to_pylist() == ["raw", "packbits"]
+    assert out["text"].to_pylist() == ["", ""]
+    assert all(e.startswith("ValueError: TIFF strip 1")
+               for e in out["error"].to_pylist())
+
+
 def test_tiff_lzw_known_vector():
     """Hand-verified TIFF-LZW bitstream for b'aaabbb' (codes 256,97,258,98,
     260,257 at 9 bits): exercises CLEAR, literal, KwKwK, and EOI paths."""

@@ -91,18 +91,34 @@ def test_untitled_page_info():
     assert "title_crop.png" not in bundle
 
 
-def test_render_debug_stage_resumable(ray_session, tmp_path, titled_page):
+@pytest.fixture
+def pages_dir(tmp_path, titled_page):
     img, truth = titled_page
     pages = pa.Table.from_pylist([{
         "media_ref": "p-0", "image": encode_image(img),
         "width": truth.width, "height": truth.height, "codec": RAW_ZLIB,
     }])
-    pages_dir = tmp_path / "pages"
-    pages_dir.mkdir()
-    pq.write_table(pages, pages_dir / "part-0.parquet")
+    d = tmp_path / "pages"
+    d.mkdir()
+    pq.write_table(pages, d / "part-0.parquet")
+    return str(d)
+
+
+def _bundles(out_dir):
+    """Every file under ``out_dir`` → its bytes, keyed by relative path."""
+    out = {}
+    for dirpath, _, files in os.walk(out_dir):
+        for f in files:
+            path = os.path.join(dirpath, f)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, out_dir)] = fh.read()
+    return out
+
+
+def test_render_debug_stage_resumable(ray_session, tmp_path, pages_dir):
     out_dir = str(tmp_path / "debug")
 
-    summary = render_debug(str(pages_dir), out_dir, concurrency=1).to_pandas()
+    summary = render_debug(pages_dir, out_dir).to_pandas()
     assert len(summary) == 1 and not summary["skipped"].iloc[0]
     assert summary["title_detected"].iloc[0]
     page_dir = os.path.join(out_dir, "p-0")
@@ -111,5 +127,39 @@ def test_render_debug_stage_resumable(ray_session, tmp_path, titled_page):
     assert os.path.exists(os.path.join(page_dir, "_DONE"))
 
     # Second run skips the finished page.
-    summary2 = render_debug(str(pages_dir), out_dir, concurrency=1).to_pandas()
+    summary2 = render_debug(pages_dir, out_dir).to_pandas()
     assert summary2["skipped"].iloc[0]
+
+
+def test_render_debug_finishes_with_one_free_cpu(ray_session, tmp_path,
+                                                 pages_dir):
+    # an actor holds 3 of the session's 4 CPUs for the whole run: the read
+    # and render tasks must share the one CPU left, not stall; a stall fails
+    # the deadline instead of hanging
+    import threading
+
+    import ray
+
+    free_dir, busy_dir = str(tmp_path / "free"), str(tmp_path / "busy")
+    render_debug(pages_dir, free_dir).materialize()
+
+    @ray.remote(num_cpus=3)
+    class Hog:
+        def ready(self):
+            return True
+
+    hog = Hog.remote()
+    done = {}
+    try:
+        ray.get(hog.ready.remote())
+        out = render_debug(pages_dir, busy_dir)
+        t = threading.Thread(
+            target=lambda: done.setdefault("rows", out.to_pandas()), daemon=True)
+        t.start()
+        t.join(timeout=120)
+    finally:
+        ray.kill(hog)
+    assert "rows" in done, "debug pass stalled"
+    assert len(done["rows"]) == 1
+    free = _bundles(free_dir)
+    assert "p-0/page_annotated.png" in free and free == _bundles(busy_dir)

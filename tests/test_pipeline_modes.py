@@ -1,6 +1,6 @@
-"""The join pipeline (with and without a span checkpoint, on a starved or
-busy session) and the shard-local pipeline must produce the golden span
-sequences, and all paths must agree span for span."""
+"""The join pipeline (also on a starved or busy session) and the
+shard-local pipeline must produce the golden span sequences, and all paths
+must agree span for span."""
 
 import pyarrow as pa
 import pytest
@@ -144,29 +144,32 @@ def test_dataflow_finishes_with_one_free_cpu(corpus_dir):
     check(ray.data.from_pandas(done["rows"]), corpus_dir)
 
 
-def test_dataflow_span_checkpoint(corpus_dir, tmp_path):
-    # checkpointed exploded-span stream (parquet roundtrip + column-pruned
-    # re-read) must be span-for-span identical to the recompute default
-    docs, pages = _docs_pages(corpus_dir)
-    out = extract(docs, pages, span_checkpoint=str(tmp_path))
-    check(out, corpus_dir)
-    import os
-    assert os.path.isdir(str(tmp_path / "exploded_spans"))  # durable artifact
-
-
 def test_sharded(corpus_dir, tmp_path):
     # shard-local layout: pages must be a co-partitioned directory; the test
-    # corpus has one pages file — single-shard equivalent: rewrite as dirs
+    # corpus has one pages file — split the documents into two shards by
+    # doc_id (duplicates stay together), each with every page; each shard is
+    # one block at the source: one task per shard and no Repartition barrier
     import os
+    import re
+
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
     d = str(tmp_path / "copart")
     os.makedirs(f"{d}/pages")
     os.makedirs(f"{d}/documents")
     docs = pq.read_table(f"{corpus_dir}/documents")
-    pq.write_table(docs, f"{d}/documents/part-0000.parquet")
-    pq.write_table(pq.read_table(f"{corpus_dir}/pages.parquet"),
-                   f"{d}/pages/part-0000.parquet")
-    out = extract_sharded(d)
+    ids = sorted(set(docs["doc_id"].to_pylist()))
+    first = pc.is_in(docs["doc_id"], pa.array(ids[: len(ids) // 2]))
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet")
+    for i, part in enumerate((docs.filter(first),
+                              docs.filter(pc.invert(first)))):
+        pq.write_table(part, f"{d}/documents/part-{i:04d}.parquet")
+        pq.write_table(pages, f"{d}/pages/part-{i:04d}.parquet")
+    out = extract_sharded(d).materialize()
+    stats = out.stats()
+    assert "Repartition" not in stats, stats
+    n = re.search(r"MapBatches\(fn\): (\d+) tasks executed", stats)
+    assert n and int(n.group(1)) == 2, stats
     check(out, corpus_dir)
 
 
@@ -262,8 +265,8 @@ def test_zero_row_documents_give_zero_rows(corpus_dir, tmp_path):
 
 
 def test_nested_pages_directory_keeps_every_page(corpus_dir, tmp_path):
-    # half the pages in a subdirectory (a partitioned layout): none may be
-    # dropped by the largest-file-first listing
+    # half the pages in a subdirectory (a partitioned layout): the read must
+    # walk into it and drop none
     import os
     import pyarrow.parquet as pq
 

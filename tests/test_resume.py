@@ -31,7 +31,7 @@ def test_crash_and_resume_is_equivalent(copart_dir, tmp_path):
     assert not summary["crashed"] and summary["committed"] == 6
 
     crash_out = str(tmp_path / "crashy")
-    s1 = run_resumable(copart_dir, crash_out, fail_after=2, max_in_flight=2)
+    s1 = run_resumable(copart_dir, crash_out, fail_after=2)
     assert s1["crashed"] and s1["committed"] == 2 and s1["pending_left"] == 4
 
     s2 = run_resumable(copart_dir, crash_out)
