@@ -135,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         stats = summary.to_pandas()
         print(json.dumps({"pages": int(len(stats)),
                           "skipped": int(stats["skipped"].sum()),
+                          "errors": int(stats["error"].notna().sum()),
                           "titles": int(stats["title_detected"].sum())}))
         ray.shutdown()
         return 0

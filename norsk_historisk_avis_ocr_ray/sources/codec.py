@@ -18,12 +18,21 @@ OCR stages (reference decodes via pdf2image / PIL,
 Payloads may be any bytes-like object; the page kernel passes zero-copy
 ``pa.Buffer`` slices of the ``image`` column. ``decode_with_band_profiles``
 also returns layout's per-band column dark counts (``band_profile``, one
-byte per column for bands of up to 255 rows), computed while each band of
-a raw-zlib page is still in cache.
+byte per column for bands of up to 255 rows), in one pass over the decoded
+page.
+
+raw-zlib pages, PNG IDAT and PDF FlateDecode streams inflate through
+``inflate_exact`` straight into their preallocated pixel buffer: with the
+system libdeflate (``libdeflate.so.0`` via ``ctypes``, loaded on first use)
+when it is installed, else with the stdlib ``zlib`` in bounded steps. Both
+paths give the same pixels and raise ``ValueError`` for the same streams.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
+import functools
 import zlib
 
 import numpy as np
@@ -61,8 +70,8 @@ def decode_image(buf, width: int, height: int, codec: str = RAW_ZLIB) -> np.ndar
     ``width``/``height`` are the typed-metadata columns; self-describing
     codecs (png/pdf) validate against them when provided (>0)."""
     if codec == RAW_ZLIB:
-        raw = zlib.decompress(buf)
-        return np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+        return inflate_exact(buf, np.empty((height, width), np.uint8),
+                             "raw-zlib payload")
     # The PNG and TIFF parsers read a zero-copy memoryview; the PDF and JPEG
     # parsers use ``bytes`` methods, so they get a copy of this one page.
     if codec == PNG:
@@ -99,6 +108,98 @@ def _check_dims(img: np.ndarray, width: int, height: int, codec: str) -> None:
             f"says {width}x{height}")
 
 
+# libdeflate_result codes; the stdlib fallback reports the same ones
+_SUCCESS, _BAD_DATA, _SHORT_OUTPUT, _INSUFFICIENT_SPACE = 0, 1, 2, 3
+_FAULTS = {_BAD_DATA: "is not a complete zlib stream",
+           _SHORT_OUTPUT: "inflates to fewer than {} bytes",
+           _INSUFFICIENT_SPACE: "inflates to more than {} bytes"}
+# stdlib fallback: input fed and output taken per ``decompress`` call. A
+# call bounded by CPython's first 32 KiB output block returns that block
+# as is; larger steps join blocks into a new ``bytes`` and run ~2x slower.
+_STEP = 1 << 15
+
+
+def inflate_exact(buf, out: np.ndarray, what: str) -> np.ndarray:
+    """Inflate the zlib stream ``buf`` (any bytes-like) into ``out``, a
+    preallocated C-contiguous uint8 array, and return ``out``.
+
+    Raises ``ValueError`` (naming ``what``) unless the stream fills ``out``
+    exactly and ends there; bytes after the stream's end are ignored. A
+    stream that inflates past ``out`` is stopped there: a zlib bomb costs
+    no memory beyond ``out`` (and, on the stdlib path, a few ``_STEP``s)."""
+    if not (out.dtype == np.uint8 and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ValueError("inflate_exact needs a writable C-contiguous uint8 array")
+    lib = _libdeflate()
+    if lib is None:
+        result = _inflate_stdlib(buf, out.reshape(-1))
+    else:
+        src = np.frombuffer(buf, np.uint8)  # keeps ``buf`` alive and pinned
+        d = lib.libdeflate_alloc_decompressor()
+        if not d:
+            raise MemoryError("libdeflate_alloc_decompressor failed")
+        try:
+            result = lib.libdeflate_zlib_decompress(
+                d, src.ctypes.data, src.size, out.ctypes.data, out.size, None)
+        finally:
+            lib.libdeflate_free_decompressor(d)
+    if result != _SUCCESS:
+        fault = _FAULTS.get(result, "does not inflate to {} bytes")
+        raise ValueError(f"{what} {fault.format(out.size)}")
+    return out
+
+
+@functools.cache
+def _libdeflate() -> ctypes.CDLL | None:
+    """The system libdeflate with its decompressor signatures declared, or
+    None when it is not installed (``inflate_exact`` then uses ``zlib``)."""
+    path = ctypes.util.find_library("deflate")
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+        lib.libdeflate_alloc_decompressor.argtypes = []
+        lib.libdeflate_alloc_decompressor.restype = ctypes.c_void_p
+        lib.libdeflate_free_decompressor.argtypes = [ctypes.c_void_p]
+        lib.libdeflate_free_decompressor.restype = None
+        lib.libdeflate_zlib_decompress.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t,
+            ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+        lib.libdeflate_zlib_decompress.restype = ctypes.c_int
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def _inflate_stdlib(buf, flat: np.ndarray) -> int:
+    """``inflate_exact`` with the stdlib ``zlib``, as a libdeflate result
+    code. Input and output move in ``_STEP``-byte steps: one unbounded
+    ``decompress`` call would copy the whole unconsumed input and join its
+    output blocks into a new ``bytes``, about 3x the page on a zlib bomb."""
+    src = memoryview(buf).cast("B")
+    dco = zlib.decompressobj()
+    pos = 0
+    try:
+        for i in range(0, len(src), _STEP):
+            data = src[i:i + _STEP]
+            while not dco.eof:
+                chunk = dco.decompress(data, min(_STEP, flat.size + 1 - pos))
+                if pos + len(chunk) > flat.size:
+                    return _INSUFFICIENT_SPACE
+                flat[pos:pos + len(chunk)] = np.frombuffer(chunk, np.uint8)
+                pos += len(chunk)
+                data = dco.unconsumed_tail
+                if not chunk and not data:
+                    break               # this step's input is used up
+            if dco.eof:
+                break
+    except zlib.error:
+        return _BAD_DATA
+    if not dco.eof:
+        return _BAD_DATA
+    return _SUCCESS if pos == flat.size else _SHORT_OUTPUT
+
+
 def band_profile(rows: np.ndarray, threshold: int) -> np.ndarray:
     """Column dark-pixel counts of one band. The counts are one byte wide
     while a band has at most 255 rows (the default band is 200), so the sum
@@ -107,65 +208,28 @@ def band_profile(rows: np.ndarray, threshold: int) -> np.ndarray:
     return np.add.reduce((rows < threshold).view(np.uint8), axis=0, dtype=dtype)
 
 
-def _band_bounds(height: int, band_height: int) -> list[tuple[int, int]]:
-    """Row ranges of the bands ``layout.find_band_dividers`` iterates:
-    ``height // band_height`` bands (min 1), the sub-band tail ignored."""
-    return [(y0, min(y0 + band_height, height))
-            for y0 in range(0, max(1, height // band_height) * band_height,
-                            band_height)]
-
-
 def band_profiles(img: np.ndarray, threshold: int,
                   band_height: int) -> list[tuple[int, np.ndarray]]:
-    """``(band rows, band_profile)`` per band of ``_band_bounds``, bands
-    shorter than 20 rows skipped."""
+    """``(band rows, band_profile)`` per band ``layout.find_band_dividers``
+    iterates: ``height // band_height`` bands (min 1), the sub-band tail
+    ignored, bands shorter than 20 rows skipped."""
+    height = img.shape[0]
+    bounds = ((y0, min(y0 + band_height, height))
+              for y0 in range(0, max(1, height // band_height) * band_height,
+                              band_height))
     return [(y1 - y0, band_profile(img[y0:y1], threshold))
-            for y0, y1 in _band_bounds(img.shape[0], band_height)
-            if y1 - y0 >= 20]
+            for y0, y1 in bounds if y1 - y0 >= 20]
 
 
 def decode_with_band_profiles(
     buf, width: int, height: int, codec: str = RAW_ZLIB,
     threshold: int = 200, band_height: int = 200,
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Decode + band profiles in one cache-hot pass.
-
-    ``buf`` is any bytes-like payload (``bytes`` or a zero-copy
-    ``pa.Buffer``). For ``raw-zlib`` this inflates band by band and
-    profiles each band while its rows are still in cache, so layout's first
-    phase never re-reads the page from memory. The stream must inflate to
-    exactly ``width*height`` bytes; a longer or shorter one raises
-    ``ValueError``. Other codecs decode normally and profile afterwards
-    (their decoders are compute-dominated).
-    """
-    if codec != RAW_ZLIB:
-        img = decode_image(buf, width, height, codec)
-        return img, band_profiles(img, threshold, band_height)
-
-    img = np.empty((height, width), dtype=np.uint8)
-    flat = img.reshape(-1)
-    dco = zlib.decompressobj()
-    data = buf
-    pos = 0
-
-    def inflate_to(end: int) -> None:
-        nonlocal data, pos
-        while pos < end:
-            chunk = dco.decompress(data, end - pos)
-            data = dco.unconsumed_tail
-            if not chunk:
-                raise ValueError(f"raw-zlib payload inflates to {pos} bytes, "
-                                 f"short of {width}x{height}")
-            flat[pos:pos + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
-            pos += len(chunk)
-
-    profiles: list[tuple[int, np.ndarray]] = []
-    for y0, y1 in _band_bounds(height, band_height):
-        inflate_to(y1 * width)
-        if y1 - y0 >= 20:
-            profiles.append((y1 - y0, band_profile(img[y0:y1], threshold)))
-    inflate_to(flat.size)
-    if not dco.eof and (dco.decompress(data, 1) or not dco.eof):
-        raise ValueError(f"raw-zlib payload does not end at {width}x{height} "
-                         "bytes")
-    return img, profiles
+    """The page kernel's decode step: ``decode_image``, then layout's
+    ``band_profiles`` in one pass over the decoded page. A raw-zlib page
+    inflates straight into the page buffer (``inflate_exact``: the system
+    libdeflate when present, else the stdlib ``zlib`` in 32 KiB steps), and
+    raises ``ValueError`` unless its stream is exactly ``width*height``
+    bytes."""
+    img = decode_image(buf, width, height, codec)
+    return img, band_profiles(img, threshold, band_height)

@@ -8,7 +8,8 @@ For those, extracting the embedded scan is exactly equivalent to rasterizing
 at the scan's native resolution, and needs no external binary.
 
 ``extract_page_image`` parses the first image XObject:
-- ``/FlateDecode`` + DeviceGray/DeviceRGB 8-bit → decoded here (zlib)
+- ``/FlateDecode`` + DeviceGray/DeviceRGB 8-bit → inflated here
+  (``codec.inflate_exact``)
 - ``/DCTDecode`` (embedded JPEG) → decoded via the pure-numpy baseline JPEG
   codec in ``sources.jpeg``
 - vector-content PDFs (no image XObject) → ``ValueError`` telling the user
@@ -24,6 +25,8 @@ import re
 import zlib
 
 import numpy as np
+
+from .codec import inflate_exact
 
 _IMG_OBJ = re.compile(
     rb"<<(?P<dict>[^>]*?/Subtype\s*/Image[^>]*?)>>\s*stream\r?\n",
@@ -68,7 +71,9 @@ def extract_page_image(buf: bytes) -> np.ndarray:
         if info.get("BitsPerComponent", 8) != 8:
             raise NotImplementedError("only 8-bit PDF scans supported")
         w, h = info["Width"], info["Height"]
-        raw = np.frombuffer(zlib.decompress(stream), dtype=np.uint8)
+        size = w * h * (3 if info.get("rgb") else 1)
+        raw = inflate_exact(stream, np.empty(size, np.uint8),
+                            "PDF FlateDecode stream")
         if info.get("rgb"):
             px = raw.reshape(h, w, 3).astype(np.float64)
             return np.clip(np.round(

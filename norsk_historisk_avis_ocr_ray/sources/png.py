@@ -1,8 +1,9 @@
 """Pure-numpy PNG codec (no imaging libraries).
 
 Implements the public PNG spec (RFC 2083 / ISO 15948): chunk framing with
-CRC-32, zlib-compressed IDAT, and the five scanline filters (None, Sub, Up,
-Average, Paeth). Supports the formats a scanned-page pipeline meets: 8-bit
+CRC-32, zlib-compressed IDAT (inflated by ``codec.inflate_exact``, with the
+system libdeflate when present), and the five scanline filters (None, Sub,
+Up, Average, Paeth). Supports the formats a scanned-page pipeline meets: 8-bit
 grayscale (native), plus RGB / palette / alpha variants on decode (converted
 to grayscale luma). Interlacing (Adam7) is not supported — scanners don't
 emit it; a clear error is raised.
@@ -23,6 +24,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from .codec import inflate_exact
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -131,7 +134,7 @@ def decode_png(buf: bytes) -> np.ndarray:
     pos = 8
     ihdr = None
     palette = None
-    idat = bytearray()
+    idat = []
     while pos < len(buf):
         (length,) = struct.unpack(">I", buf[pos:pos + 4])
         tag = buf[pos + 4:pos + 8]
@@ -142,7 +145,7 @@ def decode_png(buf: bytes) -> np.ndarray:
         elif tag == b"PLTE":
             palette = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
         elif tag == b"IDAT":
-            idat.extend(payload)
+            idat.append(payload)
         elif tag == b"IEND":
             break
     if ihdr is None:
@@ -156,10 +159,9 @@ def decode_png(buf: bytes) -> np.ndarray:
     if channels is None:
         raise ValueError(f"unsupported PNG color type {color_type}")
 
-    data = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
-    expected = h * (1 + w * channels)
-    if data.size != expected:
-        raise ValueError(f"PNG data size {data.size} != expected {expected}")
+    # a single IDAT inflates from its zero-copy slice; only split ones join
+    data = inflate_exact(idat[0] if len(idat) == 1 else b"".join(idat),
+                         np.empty(h * (1 + w * channels), np.uint8), "PNG IDAT")
     recon = _unfilter(data, h, w, channels)
 
     if color_type == 0:

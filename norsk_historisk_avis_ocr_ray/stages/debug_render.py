@@ -195,6 +195,7 @@ DEBUG_OUT_SCHEMA = pa.schema([
     ("title_detected", pa.bool_()),
     ("n_files", pa.int32()),
     ("skipped", pa.bool_()),
+    ("error", pa.string()),
 ])
 
 
@@ -206,7 +207,9 @@ class DebugRenderStage:
     """Ray form of the debug pass, like ``LayoutOcrStage``: a callable
     instance passed to ``map_batches`` runs as Ray tasks. Per page: decode →
     layout → write the annotated bundle under ``debug_dir/<media_ref>/``.
-    Resumable: a page whose ``_DONE`` marker exists is skipped."""
+    Resumable: a page whose ``_DONE`` marker exists is skipped. A page that
+    fails gets a row with its ``error``, no bundle and no marker (a re-run
+    retries it); the rest of the batch goes on, as in ``ocr_pages``."""
 
     def __init__(self, debug_dir: str):
         self.debug_dir = debug_dir
@@ -216,26 +219,34 @@ class DebugRenderStage:
         rows = []
         for ref, buf, w, h, codec in page_rows(batch):
             page_dir = os.path.join(self.debug_dir, str(ref))
-            done = os.path.join(page_dir, "_DONE")
-            if os.path.exists(done):
-                rows.append({"media_ref": ref, "n_cols": 0,
-                             "title_detected": False, "n_files": 0,
-                             "skipped": True})
-                continue
-            img, profiles = decode_with_band_profiles(
-                buf, w, h, codec, threshold=DARK_THRESHOLD)
-            layout = split_columns(img, band_profiles=profiles)
-            bundle = render_debug_bundle(img, layout)
-            os.makedirs(page_dir, exist_ok=True)
-            for name, payload in bundle.items():
-                with open(os.path.join(page_dir, name), "wb") as f:
-                    f.write(payload)
-            with open(done, "w") as f:
-                f.write("ok\n")
-            rows.append({"media_ref": ref, "n_cols": layout.n_cols,
-                         "title_detected": layout.title_box is not None,
-                         "n_files": len(bundle), "skipped": False})
+            skipped = os.path.exists(os.path.join(page_dir, "_DONE"))
+            row = {"media_ref": ref, "n_cols": 0, "title_detected": False,
+                   "n_files": 0, "skipped": skipped, "error": None}
+            if not skipped:
+                try:
+                    row.update(_render_page(buf, w, h, codec, page_dir))
+                except Exception as e:  # per-page error row, never batch abort
+                    row["error"] = f"{type(e).__name__}: {e}"
+            rows.append(row)
         return pa.Table.from_pylist(rows, schema=DEBUG_OUT_SCHEMA)
+
+
+def _render_page(buf, w: int, h: int, codec: str, page_dir: str) -> dict:
+    """Decode → layout → one page's bundle and ``_DONE`` marker under
+    ``page_dir``; returns the page's summary fields."""
+    img, profiles = decode_with_band_profiles(
+        buf, w, h, codec, threshold=DARK_THRESHOLD)
+    layout = split_columns(img, band_profiles=profiles)
+    bundle = render_debug_bundle(img, layout)
+    os.makedirs(page_dir, exist_ok=True)
+    for name, payload in bundle.items():
+        with open(os.path.join(page_dir, name), "wb") as f:
+            f.write(payload)
+    with open(os.path.join(page_dir, "_DONE"), "w") as f:
+        f.write("ok\n")
+    return {"n_cols": layout.n_cols,
+            "title_detected": layout.title_box is not None,
+            "n_files": len(bundle)}
 
 
 def render_debug(pages, debug_dir: str):

@@ -47,7 +47,7 @@ def find_band_dividers(
 
     ``profiles`` are the per-band column dark counts
     (``sources.codec.band_profiles``); the page kernel passes the ones
-    ``decode_with_band_profiles`` computed while inflating, otherwise they
+    ``decode_with_band_profiles`` returned with the page, otherwise they
     are computed here."""
     width = img.shape[1]
     if profiles is None:

@@ -10,6 +10,7 @@ import pytest
 from norsk_historisk_avis_ocr_ray.sources.codec import RAW_ZLIB, encode_image
 from norsk_historisk_avis_ocr_ray.sources.png import decode_png
 from norsk_historisk_avis_ocr_ray.stages.debug_render import (
+    DebugRenderStage,
     annotate_page,
     detection_info,
     render_debug,
@@ -17,6 +18,7 @@ from norsk_historisk_avis_ocr_ray.stages.debug_render import (
 )
 from norsk_historisk_avis_ocr_ray.stages.layout import split_columns
 from norsk_historisk_avis_ocr_ray.synth import pagegen
+from norsk_historisk_avis_ocr_ray.synth.corpus import make_corpus
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +165,30 @@ def test_render_debug_finishes_with_one_free_cpu(ray_session, tmp_path,
     assert len(done["rows"]) == 1
     free = _bundles(free_dir)
     assert "p-0/page_annotated.png" in free and free == _bundles(busy_dir)
+
+
+def test_undecodable_page_is_an_error_row_not_a_batch_abort(tmp_path):
+    # page 0 claims 50 columns fewer than its payload has: it fails to
+    # decode, page 1 of the same batch still gets its bundle
+    good = make_corpus(8, seed=7)["pages"].slice(0, 2)
+    width = good["width"].to_pylist()
+    width[0] -= 50
+    bad = good.set_column(good.schema.get_field_index("width"), "width",
+                          pa.array(width, good.schema.field("width").type))
+    ref0, ref1 = good["media_ref"].to_pylist()
+    out_dir = str(tmp_path / "debug")
+
+    rows = DebugRenderStage(out_dir)(bad).to_pylist()
+    assert [r["media_ref"] for r in rows] == [ref0, ref1]
+    assert rows[0]["error"].startswith("ValueError: raw-zlib")
+    assert rows[0]["n_files"] == 0 and not rows[0]["skipped"]
+    assert not os.path.exists(os.path.join(out_dir, ref0))
+    assert rows[1]["error"] is None and rows[1]["n_files"] > 0
+    assert os.path.exists(os.path.join(out_dir, ref1, "_DONE"))
+
+    # no marker for the failed page: a re-run with its metadata mended
+    # renders it and skips the finished one
+    rows = DebugRenderStage(out_dir)(good).to_pylist()
+    assert [(r["skipped"], r["error"]) for r in rows] == [(False, None),
+                                                          (True, None)]
+    assert os.path.exists(os.path.join(out_dir, ref0, "_DONE"))
