@@ -13,9 +13,13 @@ real instead of stubbed (reference loads via PIL, ``tesseract_engine.py:143``,
 ``claude_vision_engine.py:295-296``).
 
 Encoding picks per-row filters by the standard minimum-sum-of-absolute-
-differences heuristic over None/Sub/Up (all vectorized); decoding vectorizes
-None/Sub/Up rows (Sub via modular cumsum) and falls back to a per-pixel loop
-only for Average/Paeth rows.
+differences heuristic over None/Sub/Up (all vectorized). Decoding unfilters
+in one pass over the rows, writing each in place into one preallocated page
+with no per-row allocation: None is a copy, Sub a uint8 prefix sum per
+channel lane (it wraps mod 256), Up one ``out=`` add onto the row above;
+only Average/Paeth rows fall back to a per-pixel loop. Malformed framing (a
+cut header or IHDR, a palette index past PLTE, a bad filter byte) raises
+``ValueError``, which the page kernel turns into one error row per page.
 """
 
 from __future__ import annotations
@@ -92,38 +96,38 @@ def _paeth(a: int, b: int, c: int) -> int:
 
 
 def _unfilter(data: np.ndarray, h: int, w: int, channels: int) -> np.ndarray:
-    """Filtered scanlines (h rows of [filter_byte, w*channels bytes]) →
-    reconstructed (h, w*channels) uint8."""
+    """Filtered scanlines (h rows of [filter byte, w*channels bytes]) →
+    reconstructed (h, w*channels) uint8, in one pass that writes each row in
+    place into one preallocated page: None copies, Sub is a uint8 prefix sum
+    per channel lane (it wraps mod 256, as the filter does), Up one ``out=``
+    add onto the row above; Average and Paeth read the reconstructed left
+    pixel, so they run per pixel."""
     stride = w * channels
     data = data.reshape(h, 1 + stride)
-    filters = data[:, 0]
-    raw = data[:, 1:]
-    recon = np.zeros((h, stride), dtype=np.uint8)
+    recon = np.empty((h, stride), dtype=np.uint8)
     bpp = channels
-    for y in range(h):
-        f = filters[y]
-        line = raw[y]
-        prev = recon[y - 1] if y > 0 else np.zeros(stride, dtype=np.uint8)
+    prev = np.zeros(stride, dtype=np.uint8)
+    for y, f in enumerate(data[:, 0].tolist()):
+        line, row = data[y, 1:], recon[y]
         if f == 0:                      # None
-            recon[y] = line
-        elif f == 1:                    # Sub: modular cumsum per channel lane
-            r = line.reshape(-1, bpp)
-            recon[y] = np.cumsum(r.astype(np.int64), axis=0).astype(np.uint8).reshape(-1)
+            row[:] = line
+        elif f == 1:                    # Sub
+            np.add.accumulate(line.reshape(-1, bpp), axis=0, dtype=np.uint8,
+                              out=row.reshape(-1, bpp))
         elif f == 2:                    # Up
-            recon[y] = line + prev
+            np.add(line, prev, out=row)
         elif f == 3:                    # Average (left-dependent: per pixel)
-            row = recon[y]
             for i in range(stride):
                 left = int(row[i - bpp]) if i >= bpp else 0
                 row[i] = (int(line[i]) + ((left + int(prev[i])) >> 1)) & 0xFF
         elif f == 4:                    # Paeth (left-dependent: per pixel)
-            row = recon[y]
             for i in range(stride):
                 a = int(row[i - bpp]) if i >= bpp else 0
                 c = int(prev[i - bpp]) if i >= bpp else 0
                 row[i] = (int(line[i]) + _paeth(a, int(prev[i]), c)) & 0xFF
         else:
             raise ValueError(f"bad PNG filter byte {f} on row {y}")
+        prev = row
     return recon
 
 
@@ -135,13 +139,15 @@ def decode_png(buf: bytes) -> np.ndarray:
     ihdr = None
     palette = None
     idat = []
-    while pos < len(buf):
-        (length,) = struct.unpack(">I", buf[pos:pos + 4])
+    while pos + 8 <= len(buf):         # a partial chunk header ends it
+        (length,) = struct.unpack_from(">I", buf, pos)
         tag = buf[pos + 4:pos + 8]
         payload = buf[pos + 8:pos + 8 + length]
         pos += 12 + length
         if tag == b"IHDR":
-            ihdr = struct.unpack(">IIBBBBB", payload)
+            if len(payload) < 13:
+                raise ValueError("truncated PNG IHDR")
+            ihdr = struct.unpack_from(">IIBBBBB", payload)
         elif tag == b"PLTE":
             palette = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
         elif tag == b"IDAT":
@@ -169,7 +175,10 @@ def decode_png(buf: bytes) -> np.ndarray:
     if color_type == 3:
         if palette is None:
             raise ValueError("palette PNG missing PLTE")
-        rgb = palette[recon.reshape(h, w)]
+        try:
+            rgb = palette[recon.reshape(h, w)]
+        except IndexError as e:         # an index past the PLTE entries
+            raise ValueError(f"PNG palette {e}") from None
         return _luma(rgb)
     px = recon.reshape(h, w, channels)
     if color_type == 2:

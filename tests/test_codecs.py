@@ -3,6 +3,7 @@ e2e extraction run over PNG- and PDF-encoded pages (parity with the
 reference's PIL/poppler ingestion, ``tesseract_engine.py:133-144``)."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,7 +15,12 @@ from norsk_historisk_avis_ocr_ray.sources.pdf import (
     build_scanned_pdf,
     extract_page_image,
 )
-from norsk_historisk_avis_ocr_ray.sources.png import decode_png, encode_png
+from norsk_historisk_avis_ocr_ray.sources.png import (
+    _chunk,
+    _unfilter,
+    decode_png,
+    encode_png,
+)
 
 
 def test_png_roundtrip_gray():
@@ -52,40 +58,57 @@ def test_png_chunk_framing_and_crc():
     assert crc == (zlib.crc32(enc[12:29]) & 0xFFFFFFFF)
 
 
-def _manual_png(raw: np.ndarray, filter_id: int) -> bytes:
-    """Build a PNG whose every row uses the given filter (decode-path test)."""
-    h, w = raw.shape
+def _paeth_ref(a, b, c):
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    return a if pa <= pb and pa <= pc else (b if pb <= pc else c)
 
-    def paeth(a, b, c):
-        p = a + b - c
-        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-        return a if pa <= pb and pa <= pc else (b if pb <= pc else c)
 
-    lines = []
-    prev = [0] * w
-    for y in range(h):
-        row = raw[y].tolist()
-        out = [filter_id]
-        for i in range(w):
-            left = row[i - 1] if i > 0 else 0
-            ul = prev[i - 1] if i > 0 else 0
-            if filter_id == 3:
-                out.append((row[i] - ((left + prev[i]) >> 1)) & 0xFF)
-            elif filter_id == 4:
-                out.append((row[i] - paeth(left, prev[i], ul)) & 0xFF)
-            else:
-                raise ValueError(filter_id)
+def _filtered(raw: np.ndarray, filters) -> bytes:
+    """Reference PNG filter, pure Python: HxWxC samples (or HxW) → the
+    scanline stream, row y filtered with ``filters[y]`` (or one int for all
+    rows). Ids above 4 store the samples unfiltered, behind that byte."""
+    h = raw.shape[0]
+    bpp = raw.shape[2] if raw.ndim == 3 else 1
+    rows = raw.reshape(h, -1).tolist()
+    filters = [filters] * h if isinstance(filters, int) else list(filters)
+    out = []
+    prev = [0] * len(rows[0])
+    for f, row in zip(filters, rows):
+        out.append(f)
+        for i, x in enumerate(row):
+            a = row[i - bpp] if i >= bpp else 0
+            b = prev[i]
+            c = prev[i - bpp] if i >= bpp else 0
+            pred = {1: a, 2: b, 3: (a + b) >> 1, 4: _paeth_ref(a, b, c)}
+            out.append((x - pred.get(f, 0)) & 0xFF)
         prev = row
-        lines.extend(out)
+    return bytes(out)
 
-    def chunk(tag, p):
-        return (struct.pack(">I", len(p)) + tag + p
-                + struct.pack(">I", zlib.crc32(tag + p) & 0xFFFFFFFF))
 
+def _manual_png(raw: np.ndarray, filters, color_type: int = 0,
+                palette: bytes = b"") -> bytes:
+    """Build a PNG of ``raw`` (HxW, or HxWxC samples for ``color_type``)
+    whose rows use the given filter ids (decode-path test)."""
+    h, w = raw.shape[:2]
     return (b"\x89PNG\r\n\x1a\n"
-            + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0))
-            + chunk(b"IDAT", zlib.compress(bytes(lines)))
-            + chunk(b"IEND", b""))
+            + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, color_type,
+                                          0, 0, 0))
+            + (_chunk(b"PLTE", palette) if palette else b"")
+            + _chunk(b"IDAT", zlib.compress(_filtered(raw, filters)))
+            + _chunk(b"IEND", b""))
+
+
+def _gray_ref(raw: np.ndarray, color_type: int, palette: bytes) -> np.ndarray:
+    """What ``decode_png`` returns for these samples: gray as is, alpha
+    dropped, palette looked up, colour to ITU-R 601 luma."""
+    if color_type == 3:
+        raw = np.frombuffer(palette, np.uint8).reshape(-1, 3)[raw[:, :, 0]]
+    if raw.shape[2] <= 2:
+        return raw[:, :, 0]
+    r, g, b = (raw[:, :, k].astype(np.float64) for k in range(3))
+    return np.clip(np.round(0.299 * r + 0.587 * g + 0.114 * b),
+                   0, 255).astype(np.uint8)
 
 
 @pytest.mark.parametrize("filter_id", [3, 4])
@@ -93,6 +116,119 @@ def test_png_average_and_paeth_decode(filter_id):
     rng = np.random.default_rng(7)
     raw = rng.integers(0, 256, (5, 8), dtype=np.uint8)
     assert np.array_equal(decode_png(_manual_png(raw, filter_id)), raw)
+
+
+def _check_unfilter(raw, filters, color_type, palette=b""):
+    h, w, channels = raw.shape
+    stream = np.frombuffer(_filtered(raw, filters), np.uint8).copy()
+    got = _unfilter(stream, h, w, channels)
+    assert np.array_equal(got, raw.reshape(h, w * channels)), filters
+    out = decode_png(_manual_png(raw, filters, color_type, palette))
+    assert np.array_equal(out, _gray_ref(raw, color_type, palette)), filters
+
+
+@pytest.mark.parametrize("color_type", [0, 2, 3, 4, 6])
+def test_png_unfilter_matches_reference_on_mixed_filters(color_type):
+    """Differential pin: random per-row mixes of all five filters, against
+    the pure-Python reference filter above, for every colour type."""
+    rng = np.random.default_rng(color_type)
+    channels = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}[color_type]
+    for _ in range(40):
+        h, w = (int(v) for v in rng.integers(1, 10, 2))
+        palette = b""
+        if color_type == 3:
+            n = int(rng.integers(1, 257))
+            palette = rng.integers(0, 256, 3 * n, dtype=np.uint8).tobytes()
+            raw = rng.integers(0, n, (h, w, 1), dtype=np.uint8)
+        else:
+            raw = rng.integers(0, 256, (h, w, channels), dtype=np.uint8)
+        _check_unfilter(raw, rng.integers(0, 5, h).tolist(), color_type,
+                        palette)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+@pytest.mark.parametrize("filter_id", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("channels", [1, 2, 3, 4])
+def test_png_unfilter_edge_shapes(shape, filter_id, channels):
+    """1x1, 1xN and Nx1 pages, every filter on every row, row 0 included
+    (Up, Average and Paeth there read a zero row above)."""
+    rng = np.random.default_rng(filter_id)
+    raw = rng.integers(0, 256, shape + (channels,), dtype=np.uint8)
+    color_type = {1: 0, 2: 4, 3: 2, 4: 6}[channels]
+    _check_unfilter(raw, filter_id, color_type)
+
+
+@pytest.mark.parametrize("bad", [5, 255])
+def test_png_bad_filter_byte_names_its_row(bad):
+    raw = np.random.default_rng(bad).integers(0, 256, (5, 6), dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"bad PNG filter byte {bad} on row 2"):
+        decode_png(_manual_png(raw, [1, 2, bad, 0, 4]))
+
+
+@pytest.mark.parametrize("filter_id", [0, 1, 2])
+def test_png_decode_peak_memory_is_two_pages(filter_id):
+    """Unfiltering writes rows in place into one page: the decode peak is
+    the inflated scanlines plus that page, for None, Sub and Up pages."""
+    h = w = 1000
+    rng = np.random.default_rng(filter_id)
+    lines = np.zeros((h, 1 + w), np.uint8)
+    lines[:, 0] = filter_id
+    lines[rng.integers(0, h, 5000), rng.integers(1, 1 + w, 5000)] = 7
+    buf = (b"\x89PNG\r\n\x1a\n"
+           + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0))
+           + _chunk(b"IDAT", zlib.compress(lines.tobytes(), 1))
+           + _chunk(b"IEND", b""))
+    tracemalloc.start()
+    try:
+        img = decode_png(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.shape == (h, w)
+    assert peak <= 2.2 * h * w, peak / (h * w)
+
+
+def _page_png_cases():
+    """One good PNG page of the synthetic corpus and malformed PNGs: cut
+    inside the IHDR header, inside its payload, after it, and a palette
+    index past the PLTE entries."""
+    from norsk_historisk_avis_ocr_ray.synth.corpus import make_corpus
+
+    pages = make_corpus(4, seed=7)["pages"]
+    w, h = pages["width"][0].as_py(), pages["height"][0].as_py()
+    good = encode_png(decode_image(pages["image"][0].as_py(), w, h,
+                                   pages["codec"][0].as_py()))
+    index = np.array([[0, 1], [9, 2]], np.uint8)[:, :, None]
+    cases = {f"cut{n}": (good[:n], w, h) for n in (10, 20, 35)}
+    cases["palette"] = (_manual_png(index, 0, 3, bytes(range(9))), 2, 2)
+    return pages["media_ref"][0].as_py(), (good, w, h), cases
+
+
+def test_png_cut_in_ihdr_or_iend():
+    img = np.arange(64, dtype=np.uint8).reshape(8, 8)
+    with pytest.raises(ValueError, match="truncated PNG IHDR"):
+        decode_png(encode_png(img)[:20])
+    # a PNG cut inside its IEND tag still decodes: its pixels are all there
+    assert np.array_equal(decode_png(encode_png(img)[:-6]), img)
+
+
+def test_malformed_png_pages_are_one_error_row_each():
+    from norsk_historisk_avis_ocr_ray.stages.ocr import MockBarcodeOcr, ocr_pages
+
+    ref, (good, w, h), cases = _page_png_cases()
+    alone = ocr_pages(pa.table({
+        "media_ref": [ref], "image": [good], "width": [w], "height": [h],
+        "codec": ["png"]}), MockBarcodeOcr()).to_pylist()
+    assert alone and not any(r["error"] for r in alone)
+    for name, (buf, bw, bh) in cases.items():
+        out = ocr_pages(pa.table({
+            "media_ref": [name, ref], "image": [buf, good],
+            "width": [bw, w], "height": [bh, h],
+            "codec": ["png", "png"]}), MockBarcodeOcr()).to_pylist()
+        bad = [r for r in out if r["media_ref"] == name]
+        assert len(bad) == 1 and bad[0]["error"].startswith("ValueError: "), \
+            (name, bad)
+        assert [r for r in out if r["media_ref"] == ref] == alone, name
 
 
 def test_png_rejects_garbage():
