@@ -11,6 +11,7 @@ never double-written.
 
 from __future__ import annotations
 
+import glob
 import os
 import time
 from typing import Any, Callable
@@ -20,6 +21,7 @@ import pyarrow.parquet as pq
 
 import ray
 
+from ..functions.scale import cluster_cpus
 from ..stages.ocr import MockBarcodeOcr
 from ..state.manifest import Manifest
 from .sharded import cached_engine, list_shards, load_shard, process_shard
@@ -36,6 +38,10 @@ def _run_shard(shard: dict, out_dir: str, correction: bool,
                         emit_diff=emit_diff)
 
     final = os.path.join(out_dir, f"{shard['shard']}.parquet")
+    # a worker killed mid-write (a forced cancel, the OOM killer) leaves its
+    # temp file behind; nothing else ever removes it
+    for stale in glob.glob(glob.escape(final) + ".tmp-*"):
+        os.remove(stale)
     tmp = final + f".tmp-{os.getpid()}"
     pq.write_table(out, tmp)
     os.replace(tmp, final)  # atomic: output durable before manifest commit
@@ -85,8 +91,9 @@ def run_resumable(
     in_flight: dict[Any, str] = {}
     it = iter(pending)
     # Sized from the session's total CPUs, not the free ones: a busy session
-    # must queue shards, not submit none.
-    limit = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    # must queue shards, not submit none. Read before the first ``.remote()``,
+    # which is what starts Ray when the caller has not.
+    limit = cluster_cpus()
 
     def submit_next():
         name = next(it, None)

@@ -6,9 +6,11 @@ ingest layout at 10^12-doc scale: partition by hash(doc_id), keep each doc's
 media in the same shard), the whole extraction — explode → layout+OCR →
 clean → repack → correct — is shard-local: every row of a document lives in
 exactly one shard, so reading-order reassembly needs **no groupby shuffle at
-all**. One Ray task per shard, elastic task-pool scheduling, skew handled by
-shard count ≫ core count (a 6-column broadsheet-heavy shard just takes
-longer; work stealing balances the rest).
+all**. The shards are dealt into at most ``GROUPS_PER_CPU`` groups per CPU,
+one Ray task per group running its shards in turn: the per-task dispatch
+cost is paid per group, not per shard, while several groups per CPU still
+let the elastic task pool even out skew (a 6-column broadsheet-heavy shard
+just takes longer; the other groups fill the idle cores).
 
 Partitioning assumption (documented per the operator contract): all spans of
 a ``doc_id`` and all pages they reference are inside the shard. Inputs that
@@ -32,12 +34,21 @@ import pyarrow.parquet as pq
 import ray
 from ray.data import Dataset
 
+from ..functions.scale import cluster_cpus
 from ..functions.textops import clean_batch
 from ..stages.correct import CorrectorStage
 from ..stages.explode import explode_spans
 from ..stages.ocr import (PAGE_COLUMNS, MockBarcodeOcr, cached_engine,
                           ocr_pages, resolve_spans)
 from ..stages.repack import repack_table
+
+# Tasks per CPU for ``extract_sharded``. Each Ray Data task adds a fixed
+# dispatch gap to its shards' work (12-14 ms on a 1-CPU host, against
+# ~26 ms of work for a text-only shard), so fewer tasks are cheaper; more
+# than one per CPU keeps the last wave short when group costs are skewed
+# (a core whose groups drew light shards takes another group while a heavy
+# one finishes).
+GROUPS_PER_CPU = 4
 
 
 def list_shards(corpus_dir: str) -> list[dict]:
@@ -120,7 +131,16 @@ def extract_sharded(
     correction: bool = True,
     emit_diff: bool = True,
 ) -> Dataset:
-    """Co-partitioned corpus directory → output Dataset, one task per shard.
+    """Co-partitioned corpus directory → output Dataset, one task per group
+    of shards.
+
+    The LPT-ordered shards are dealt round-robin into ``n = min(shards,
+    GROUPS_PER_CPU × CPUs)`` groups (group ``i`` is ``shards[i::n]``, so
+    every group starts with one of the heaviest shards and the groups'
+    totals stay close). Each group is one source block and one task, which
+    runs its shards in turn and returns their rows concatenated; a corpus
+    with at most ``GROUPS_PER_CPU × CPUs`` shards keeps one task per shard.
+    Per-shard output is the same whatever the grouping.
 
     Tasks (not actors): the engine is cached per worker process, and the
     elastic task pool uses every free CPU — there is no pool size to
@@ -129,10 +149,12 @@ def extract_sharded(
     shards = list_shards(corpus_dir)
     if not shards:
         raise ValueError(f"no document shards under {corpus_dir!r}")
-    # one block per shard at the source, so one task per shard and no
+    n = min(len(shards), GROUPS_PER_CPU * cluster_cpus())
+    # one block per group at the source, so one task per group and no
     # repartition barrier before the first task starts
-    ds = ray.data.from_items(shards, override_num_blocks=len(shards))
+    ds = ray.data.from_arrow([pa.Table.from_pylist(shards[i::n])
+                              for i in range(n)])
     return ds.map_batches(
         _shard_task_fn(engine_factory, correction, emit_diff),
-        batch_format="pyarrow", batch_size=1,
+        batch_format="pyarrow", batch_size=None,
     )

@@ -8,6 +8,8 @@ into place (atomic on one filesystem) → append the manifest line with lineage
 metrics. A shard is only considered done if its manifest line exists, and the
 manifest line is only written after the output is durable — a crash between
 the two re-processes the shard (idempotent: the rename replaces the output).
+A crash mid-append leaves a last line with no newline: those bytes are not a
+commit (their shard re-runs), and the next ``commit`` cuts them off first.
 
 Each manifest line is also the shard's **lineage record**: rows in/out, span
 and error counts, wall time — the Ray-native replacement for the reference's
@@ -30,22 +32,31 @@ class Manifest:
         done: dict[str, dict] = {}
         if not os.path.exists(self.path):
             return done
-        with open(self.path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                done[rec["shard"]] = rec
+        with open(self.path, "rb") as f:
+            data = f.read()
+        # bytes after the last newline are an append cut short: uncommitted
+        for line in data[:data.rfind(b"\n") + 1].splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            done[rec["shard"]] = rec
         return done
 
     def commit(self, shard: str, lineage: dict) -> None:
         rec = {"shard": shard, "ts": time.time(), **lineage}
-        with open(self.path, "a") as f:
-            f.write(json.dumps(rec) + "\n")
+        with open(self.path, "a+b") as f:
+            end = f.seek(0, os.SEEK_END)
+            if end:
+                f.seek(end - 1)
+                if f.read(1) != b"\n":  # a torn last line: cut it off first
+                    f.seek(0)
+                    f.truncate(f.read().rfind(b"\n") + 1)
+            f.write(json.dumps(rec).encode() + b"\n")
             f.flush()
             os.fsync(f.fileno())
 
     def pending(self, shards: list[str]) -> list[str]:
         done = self.committed()
         return [s for s in shards if s not in done]
+

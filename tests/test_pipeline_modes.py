@@ -147,8 +147,9 @@ def test_dataflow_finishes_with_one_free_cpu(corpus_dir):
 def test_sharded(corpus_dir, tmp_path):
     # shard-local layout: pages must be a co-partitioned directory; the test
     # corpus has one pages file — split the documents into two shards by
-    # doc_id (duplicates stay together), each with every page; each shard is
-    # one block at the source: one task per shard and no Repartition barrier
+    # doc_id (duplicates stay together), each with every page; two shards are
+    # fewer than 4 per CPU, so each is its own group: one block at the source,
+    # one task per shard and no Repartition barrier
     import os
     import re
 
@@ -170,6 +171,39 @@ def test_sharded(corpus_dir, tmp_path):
     assert "Repartition" not in stats, stats
     n = re.search(r"MapBatches\(fn\): (\d+) tasks executed", stats)
     assert n and int(n.group(1)) == 2, stats
+    check(out, corpus_dir)
+
+
+def test_sharded_deals_shards_into_four_groups_per_cpu(corpus_dir, tmp_path):
+    # 20 shards, each with only the pages its documents reference, on the
+    # session's 4 CPUs: more shards than 4 per CPU, so they are dealt into 16
+    # groups of shards, one task each, and every document still comes out once
+    import os
+    import re
+    from collections import Counter
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    d = str(tmp_path / "copart")
+    os.makedirs(f"{d}/pages")
+    os.makedirs(f"{d}/documents")
+    docs = pq.read_table(f"{corpus_dir}/documents")
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet")
+    ids = sorted(set(docs["doc_id"].to_pylist()))
+    for i in range(20):
+        part = docs.filter(pc.is_in(docs["doc_id"], pa.array(ids[i::20])))
+        refs = {s["media_ref"] for spans in part["spans"].to_pylist()
+                for s in spans if s["media_ref"]}
+        pq.write_table(part, f"{d}/documents/part-{i:04d}.parquet")
+        pq.write_table(pages.filter(pc.is_in(pages["media_ref"],
+                                             pa.array(sorted(refs), pa.string()))),
+                       f"{d}/pages/part-{i:04d}.parquet")
+    out = extract_sharded(d).materialize()
+    stats = out.stats()
+    n = re.search(r"MapBatches\(fn\): (\d+) tasks executed", stats)
+    assert n and int(n.group(1)) == 16, stats
+    seen = Counter(out.to_pandas()["doc_id"])
+    assert set(seen) == set(ids) and set(seen.values()) == {1}
     check(out, corpus_dir)
 
 

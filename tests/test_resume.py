@@ -83,3 +83,91 @@ def test_less_than_one_free_cpu_still_commits_every_shard(copart_dir, tmp_path):
     threading.Timer(2.0, ray.kill, args=(hog,)).start()
     s = run_resumable(copart_dir, str(tmp_path / "out"))
     assert s["committed"] == 6 and s["pending_left"] == 0
+
+
+def span_key(spans):
+    return [(s["kind"], s["text"], s["media_ref"])
+            for s in sorted(spans, key=lambda s: s["offset"])]
+
+
+def assert_golden(out_dir, copart_dir):
+    got = read_all(out_dir)
+    golden = {g["doc_id"]: g for g in
+              pq.read_table(os.path.join(copart_dir, "golden")).to_pylist()}
+    assert set(got) == set(golden)
+    for doc_id, g in golden.items():
+        assert span_key(got[doc_id]["spans"]) == span_key(g["spans"]), doc_id
+        assert got[doc_id]["combined"] == g["combined"], doc_id
+        assert got[doc_id]["transcribed"] == g["transcribed"], doc_id
+
+
+def test_stale_temp_output_is_removed(copart_dir, tmp_path):
+    # a worker killed mid-write leaves its temp file; the shard's next write
+    # removes it
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "part-0000.parquet.tmp-99999").write_bytes(b"PAR1 torn")
+    s = run_resumable(copart_dir, str(out))
+    assert s["committed"] == 6
+    assert not [f for f in os.listdir(out) if ".tmp-" in f]
+    assert_golden(str(out), copart_dir)
+
+
+def test_torn_manifest_tail_is_not_a_commit(copart_dir, tmp_path):
+    # a crash mid-append leaves a last line with no newline: its shard is not
+    # committed, the re-run commits it, and the torn bytes are gone
+    import json
+
+    out = str(tmp_path / "out")
+    assert run_resumable(copart_dir, out, fail_after=1)["committed"] == 1
+    path = os.path.join(out, "manifest.jsonl")
+    with open(path, "a") as f:
+        f.write('{"shard": "part-0005", "docs_in"')
+    s = run_resumable(copart_dir, out)
+    assert not s["crashed"] and s["pending_left"] == 0
+    with open(path) as f:
+        shards = [json.loads(line)["shard"] for line in f]
+    assert sorted(shards) == [f"part-{i:04d}" for i in range(6)]
+    assert_golden(out, copart_dir)
+
+
+def test_complete_bad_manifest_line_raises(tmp_path):
+    from norsk_historisk_avis_ocr_ray.state.manifest import Manifest
+
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"shard": "a"}\n{"shard": \n')
+    with pytest.raises(ValueError):
+        Manifest(str(path)).committed()
+
+
+def test_drivers_start_without_ray_init(copart_dir, tmp_path):
+    # a fresh process that never calls ray.init(): each driver must read the
+    # CPU count and let its first Ray call connect (here to this session's
+    # cluster, through RAY_ADDRESS)
+    import subprocess
+    import sys
+    import textwrap
+
+    import ray
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = textwrap.dedent(f"""
+        import ray
+        from norsk_historisk_avis_ocr_ray.pipelines.run import run_resumable
+        from norsk_historisk_avis_ocr_ray.pipelines.sharded import extract_sharded
+
+        assert not ray.is_initialized()
+        assert extract_sharded({copart_dir!r}).count() > 0
+        ray.shutdown()
+        assert not ray.is_initialized()
+        s = run_resumable({copart_dir!r}, {str(tmp_path / "out")!r})
+        assert s["committed"] == 6, s
+    """)
+    env = dict(os.environ,
+               RAY_ADDRESS=ray.get_runtime_context().gcs_address,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-4000:]
+    assert_golden(str(tmp_path / "out"), copart_dir)
