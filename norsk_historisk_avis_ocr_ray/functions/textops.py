@@ -5,6 +5,14 @@ Semantics match the reference exactly (so golden span/text equality holds):
 - ``reflow_text``          — reference ``tesseract_engine.py:68-88``  (T2)
 - ``readable_diff``        — reference ``tesseract_claude_engine.py:15-57`` (T3)
 
+Both T1 and T3 skip their general machinery where it provably changes
+nothing: ``clean_divider_noise`` runs the pipe regexes only on lines that
+hold a ``|`` (both need one), and ``readable_diff`` takes difflib's
+alignment from ``word_opcodes``, which skips ``SequenceMatcher`` for equal
+word lists and for same-length substitutions that difflib aligns position
+by position. ``tests/reference_textops.py`` keeps the general forms, and
+the tests compare against them.
+
 These are pure per-string functions; the batch-level wrappers at the bottom are
 what the pipeline's ``map_batches`` stages call (one vectorized pass over the
 Arrow string child array — the per-line drop logic requires Python, but the
@@ -35,25 +43,24 @@ def clean_divider_noise(text: str) -> str:
     then standalone pipes; drop lines whose stripped remainder is 1–2 chars
     (stray garbage — dropped, not blanked, so hyphen rejoining in reflow still
     works); finally collapse runs of 2+ blank lines to one.
-    """
-    cleaned = []
-    for line in text.split("\n"):
-        line = _TRAIL_PIPE.sub("", line)
-        line = _LEAD_PIPE.sub("", line)
-        line = line.strip("|").rstrip()
-        stripped = line.strip()
-        if 0 < len(stripped) <= 2:
-            continue
-        cleaned.append(line)
 
+    The two pipe regexes and ``strip("|")`` run only on lines that hold a
+    ``|``: both patterns need a literal pipe and the strip removes nothing
+    without one, so skipping them elsewhere gives the same output. A dropped
+    line leaves the blank-run count as it is, exactly as if the drop had
+    been a separate pass before the collapse.
+    """
     out: list[str] = []
     blanks = 0
-    for line in cleaned:
-        if line.strip() == "":
+    for line in text.split("\n"):
+        if "|" in line:
+            line = _LEAD_PIPE.sub("", _TRAIL_PIPE.sub("", line)).strip("|")
+        line = line.rstrip()
+        if not line:  # rstripped, so blank iff empty
             blanks += 1
             if blanks <= 1:
                 out.append(line)
-        else:
+        elif len(line.lstrip()) > 2:
             blanks = 0
             out.append(line)
     return "\n".join(out)
@@ -71,13 +78,69 @@ def reflow_text(section_text: str) -> str:
     return section_text.strip()
 
 
+# difflib.SequenceMatcher drops "popular" words from b once b has this many.
+_AUTOJUNK_MIN = 200
+
+
+def word_opcodes(bw: list[str], aw: list[str]) -> list[tuple]:
+    """``difflib.SequenceMatcher(None, bw, aw).get_opcodes()``, with two
+    exact shortcuts that skip the matcher.
+
+    - Equal lists: one ``equal`` opcode (none for two empty lists).
+    - Equal lengths below difflib's autojunk size, where no word at a changed
+      position equals a word at an unchanged position and no old changed
+      word equals a new one: ``equal`` for each unchanged run and
+      ``replace`` for each run of changed positions. Every match then pairs
+      two unchanged positions holding the same word, and an off-diagonal
+      block has a diagonal twin of its length that the matcher's search
+      (first longest block by end in ``bw``, then by ``j``) reaches first,
+      so each block it picks is a whole unchanged run.
+
+    Every other pair goes through ``SequenceMatcher``.
+    """
+    n = len(bw)
+    if bw == aw:
+        return [("equal", 0, n, 0, n)] if n else []
+    if n == len(aw) and n < _AUTOJUNK_MIN:
+        changed = [i for i, (a, b) in enumerate(zip(bw, aw)) if a != b]
+        same = {a for a, b in zip(bw, aw) if a == b}
+        old = {bw[i] for i in changed}
+        new = {aw[i] for i in changed}
+        if same.isdisjoint(old) and same.isdisjoint(new) \
+                and old.isdisjoint(new):
+            return _positional_opcodes(changed, n)
+    return difflib.SequenceMatcher(None, bw, aw).get_opcodes()
+
+
+def _positional_opcodes(changed: list[int], n: int) -> list[tuple]:
+    """Opcodes of a same-length diff whose changed positions are ``changed``
+    (ascending, non-empty): ``replace`` per maximal run, ``equal`` between."""
+    ops = []
+    pos = 0
+    start = changed[0]
+    for prev, i in zip(changed, changed[1:] + [n + 1]):
+        if i == prev + 1:
+            continue
+        if pos < start:
+            ops.append(("equal", pos, start, pos, start))
+        ops.append(("replace", start, prev + 1, start, prev + 1))
+        pos, start = prev + 1, i
+    if pos < n:
+        ops.append(("equal", pos, n, pos, n))
+    return ops
+
+
 def readable_diff(before: str, after: str) -> str:
-    """Word-level diff with 3 words of context; ``«old» → «new»`` lines."""
+    """Word-level diff with 3 words of context; ``«old» → «new»`` lines.
+
+    The alignment is ``word_opcodes``: difflib's, computed without the
+    matcher for equal word lists and for same-length substitutions that
+    difflib provably aligns position by position.
+    """
     bw, aw = before.split(), after.split()
-    sm = difflib.SequenceMatcher(None, bw, aw)
     ctx = 3
     changes = []
-    for op, i1, i2, j1, j2 in sm.get_opcodes():
+    for op, i1, i2, j1, j2 in word_opcodes(bw, aw):
         if op == "equal":
             continue
         before_ctx = bw[max(0, i1 - ctx):i1]

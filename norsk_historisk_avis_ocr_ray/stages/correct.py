@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.textops import readable_diff
+from ..functions.textops import readable_diff, word_opcodes
 
 # (ocr_error_substring, correction) — the confusion pairs the reference prompt
 # instructs the corrector to fix, in a fixed priority order.
@@ -114,6 +114,18 @@ class NorwegianNormalizer:
         )
 
 
+def word_edits(raw: str, fixed: str) -> int:
+    """Words a correction edited. Same word count (the normalizer never
+    inserts or deletes): the positions whose word differs. Otherwise (a
+    corrector slot that does): the words ``readable_diff``'s alignment marks
+    inserted, deleted or replaced, the longer side of each replace."""
+    rw, fw = raw.split(), fixed.split()
+    if len(rw) == len(fw):
+        return sum(a != b for a, b in zip(rw, fw))
+    return sum(max(i2 - i1, j2 - j1)
+               for op, i1, i2, j1, j2 in word_opcodes(rw, fw) if op != "equal")
+
+
 class CorrectorStage:
     """Adds ``transcribed``/``corrected``/``diff`` columns.
 
@@ -154,9 +166,7 @@ class CorrectorStage:
             transcribed.append(fixed)
             changed = fixed != raw
             corrected.append(changed)
-            # token-level edit count (the normalizer never inserts/deletes)
-            n_edits.append(sum(a != b for a, b in zip(raw.split(), fixed.split()))
-                           if changed else 0)
+            n_edits.append(word_edits(raw, fixed) if changed else 0)
             diffs.append(readable_diff(raw, fixed) if self.emit_diff
                          else ("changed" if changed else "No changes detected."))
         batch = batch.drop_columns(["transcribed_raw"])

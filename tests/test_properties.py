@@ -1,14 +1,20 @@
 """Property/randomized tests (SURVEY §5.2): operator invariants under
-hypothesis-generated inputs, repack order restoration under shuffles, and the
-KMV sketch accuracy bound."""
+hypothesis-generated inputs, differential tests of the text operators'
+fast paths against their general form, repack order restoration under
+shuffles, and the KMV sketch accuracy bound."""
 
 import numpy as np
 import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_textops import (
+    difflib_readable_diff,
+    pipe_regex_clean_divider_noise,
+)
 
 from norsk_historisk_avis_ocr_ray.functions.textops import (
     clean_divider_noise,
+    readable_diff,
     reflow_text,
 )
 from norsk_historisk_avis_ocr_ray.stages.repack import repack_table
@@ -34,6 +40,109 @@ def test_clean_never_leaves_short_garbage_lines(lines):
 def test_clean_never_leaves_blank_runs(lines):
     out = clean_divider_noise("\n".join(lines))
     assert "\n\n\n" not in out  # runs of 2+ blank lines collapsed to one
+
+
+# Pipes at any place in a line, letters, and whitespace that str.strip and
+# the regexes' \s both treat as such, beyond the ASCII set.
+divider_lines = st.lists(
+    st.text(alphabet=list("|ab x\t\x0b\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"),
+            max_size=12),
+    max_size=10,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(divider_lines)
+def test_clean_matches_pipe_regex_on_every_line(lines):
+    text = "\n".join(lines)
+    assert clean_divider_noise(text) == pipe_regex_clean_divider_noise(text)
+
+
+WORDS = [f"w{i}" for i in range(40)]
+
+
+@st.composite
+def edited_words(draw, max_vocab, min_size, max_size, ops):
+    """(before, after): words from a vocabulary of 1..max_vocab, then up to 6
+    edits of the given kinds (``sub``, ``ins``, ``del``) at drawn places."""
+    vocab = WORDS[:draw(st.integers(1, max_vocab))]
+    before = draw(st.lists(st.sampled_from(vocab), min_size=min_size,
+                           max_size=max_size))
+    after = list(before)
+    edits = st.tuples(st.sampled_from(ops), st.integers(0, 10**6),
+                      st.sampled_from(vocab + ["ny", "nytt"]))
+    for op, pos, word in draw(st.lists(edits, max_size=6)):
+        if op == "sub" and after:
+            after[pos % len(after)] = word
+        elif op == "del" and after:
+            del after[pos % len(after)]
+        elif op == "ins":
+            after.insert(pos % (len(after) + 1), word)
+    return before, after
+
+
+def assert_diff_matches_difflib(before, after):
+    b, a = " ".join(before), " ".join(after)
+    assert readable_diff(b, a) == difflib_readable_diff(b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_words(6, 0, 30, ("sub", "ins", "del")))
+def test_diff_matches_difflib_small_alphabet(pair):
+    assert_diff_matches_difflib(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_words(40, 1, 80, ("sub",)))
+def test_diff_matches_difflib_substitutions(pair):
+    assert_diff_matches_difflib(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edited_words(40, 200, 240, ("sub", "ins", "del")))
+def test_diff_matches_difflib_autojunk_sizes(pair):
+    assert_diff_matches_difflib(*pair)
+
+
+@st.composite
+def popular_and_unique_words(draw):
+    """(before, after): 200–240 words, each one of three repeated words or
+    unique, with 1–4 unique words replaced by new ones. difflib's autojunk
+    ignores the repeated words here, so it may join changed runs that a
+    repeated word separates."""
+    kinds = draw(st.lists(st.integers(0, 4), min_size=200, max_size=240))
+    before = [f"p{k}" if k < 3 else f"u{i}" for i, k in enumerate(kinds)]
+    unique = [i for i, w in enumerate(before) if w[0] == "u"]
+    after = list(before)
+    for k in draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4)):
+        if unique:
+            after[unique[k % len(unique)]] = f"x{k}"
+    return before, after
+
+
+@settings(max_examples=100, deadline=None)
+@given(popular_and_unique_words())
+def test_diff_matches_difflib_with_autojunk(pair):
+    assert_diff_matches_difflib(*pair)
+
+
+def test_diff_falls_back_where_difflib_is_not_positional():
+    # q -> C, but C is also an unchanged word: difflib aligns "A B C" with
+    # the first three words of after, not position by position
+    before, after = "A B q A B C".split(), "A B C A B C".split()
+    assert_diff_matches_difflib(before, after)
+    out = readable_diff(" ".join(before), " ".join(after))
+    assert "«A B q» → (deleted)" in out and "(inserted) «A B C»" in out
+    # 200 words: autojunk drops the popular p (5 of them), so difflib gives
+    # one replace over "u100 p u102" where the positions alone give two
+    before = [f"u{i}" for i in range(200)]
+    for i in (0, 1, 2, 3, 101):
+        before[i] = "p"
+    after = list(before)
+    after[100], after[102] = "x", "y"
+    assert_diff_matches_difflib(before, after)
+    out = readable_diff(" ".join(before), " ".join(after))
+    assert "«u100 p u102» → «x p y»" in out
 
 
 @settings(max_examples=200, deadline=None)

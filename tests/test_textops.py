@@ -1,14 +1,18 @@
 """Unit tests for T1/T2/T3 text operators (semantics of
 tesseract_engine.py:24-88 and tesseract_claude_engine.py:15-57)."""
 
+import difflib
+
 import pyarrow as pa
 
+from norsk_historisk_avis_ocr_ray.functions import textops
 from norsk_historisk_avis_ocr_ray.functions.textops import (
     clean_batch,
     clean_divider_noise,
     readable_diff,
     reflow_text,
     whitespace_token_counts,
+    word_opcodes,
 )
 
 
@@ -72,6 +76,33 @@ class TestReadableDiff:
     def test_insert_delete(self):
         assert "(deleted)" in readable_diff("a b c", "a c")
         assert "(inserted)" in readable_diff("a c", "a b c")
+
+
+def test_word_opcodes_calls_difflib_only_off_the_positional_case(monkeypatch):
+    calls = []
+    real = difflib.SequenceMatcher
+
+    def matcher(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(textops.difflib, "SequenceMatcher", matcher)
+    assert word_opcodes([], []) == []
+    assert word_opcodes(["a", "b"], ["a", "b"]) == [("equal", 0, 2, 0, 2)]
+    assert word_opcodes("x a b c y d".split(), "X a b c Y d".split()) == [
+        ("replace", 0, 1, 0, 1), ("equal", 1, 4, 1, 4),
+        ("replace", 4, 5, 4, 5), ("equal", 5, 6, 5, 6)]
+    assert calls == []
+    positional = ["w%d" % i for i in range(199)]
+    word_opcodes(positional, ["ny"] + positional[1:])
+    assert calls == []
+    # unequal lengths; a changed word that is also unchanged elsewhere; an old
+    # changed word that is also a new one; 200 words, where autojunk applies
+    for before, after in [("a b c", "a c"), ("A B q A B C", "A B C A B C"),
+                          ("p q r", "q p r")]:
+        word_opcodes(before.split(), after.split())
+    word_opcodes(positional + ["z"], ["ny"] + positional[1:] + ["z"])
+    assert len(calls) == 4
 
 
 def test_clean_batch_arrow():
