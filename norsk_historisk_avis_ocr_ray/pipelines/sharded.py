@@ -20,19 +20,19 @@ per-row MissingMedia error, never a wrong span sequence.
 
 The same loader and per-shard function (``load_shard`` → ``process_shard``)
 are the body of the resumable runner (``pipelines.run``): output is written
-per shard and committed to a manifest.
+per shard and committed to a manifest. The loader streams a shard's pages
+in record batches of about ``PAGE_BATCH_BYTES`` of payload (``PageStream``),
+so no Arrow copy of the whole ``image`` column is ever held beside the
+parquet reader's decompressed data page.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-import ray
-from ray.data import Dataset
 
 from ..functions.scale import cluster_cpus
 from ..functions.textops import clean_batch
@@ -42,6 +42,9 @@ from ..stages.ocr import (PAGE_COLUMNS, MockBarcodeOcr, cached_engine,
                           ocr_pages, resolve_spans)
 from ..stages.repack import repack_table
 
+if TYPE_CHECKING:  # ray.data (and pandas with it) is imported on first use
+    from ray.data import Dataset
+
 # Tasks per CPU for ``extract_sharded``. Each Ray Data task adds a fixed
 # dispatch gap to its shards' work (12-14 ms on a 1-CPU host, against
 # ~26 ms of work for a text-only shard), so fewer tasks are cheaper; more
@@ -49,6 +52,15 @@ from ..stages.repack import repack_table
 # (a core whose groups drew light shards takes another group while a heavy
 # one finishes).
 GROUPS_PER_CPU = 4
+
+# Page payload per record batch of a shard's pages stream. The parquet
+# reader holds the decompressed data page while it is read; each batch adds
+# only its own pages beside it (a whole-table read holds the page and a full
+# Arrow copy of the column). Fewer pages a batch hold less: reading one
+# 172-page file of 1.5 MB lossless pages grew RSS 308 / 368 / 373 MB at
+# 1 / 2 / 4 pages a batch. A batch costs ~0.35 ms (1-CPU host), which 2 MiB
+# batches of ~50 raw-zlib pages (40 KB each) make negligible.
+PAGE_BATCH_BYTES = 2 << 20
 
 
 def list_shards(corpus_dir: str) -> list[dict]:
@@ -91,22 +103,61 @@ def list_shards(corpus_dir: str) -> list[dict]:
     return shards
 
 
-def load_shard(shard: dict) -> tuple[pa.Table, pa.Table | None]:
-    """One ``list_shards`` entry → (documents, pages or None)."""
+class PageStream:
+    """A pages file as a lazy stream of ``PAGE_COLUMNS`` record batches.
+
+    The batch size comes from the footer: the ``image`` column's
+    uncompressed size over its row count is the mean payload per page, and
+    a batch holds about ``PAGE_BATCH_BYTES`` of it (at least one page).
+    ``num_rows`` is the footer's page count. Only the footer is read here;
+    each iteration opens the file (reusing the footer), reads it anew and
+    closes it when done, and a corrupt page raises from the iteration,
+    never ends it early."""
+
+    def __init__(self, path: str):
+        with pq.ParquetFile(path) as f:
+            meta, names = f.metadata, f.schema_arrow.names
+        # iter_batches skips a column it cannot find; a whole read raised
+        missing = set(PAGE_COLUMNS) - set(names)
+        if missing:
+            raise ValueError(f"pages file {path!r} has no column(s) "
+                             f"{sorted(missing)}")
+        self.path, self._meta = path, meta
+        self.num_rows = meta.num_rows
+        payload = sum(rg.column(i).total_uncompressed_size
+                      for rg in map(meta.row_group, range(meta.num_row_groups))
+                      for i in range(rg.num_columns)
+                      if rg.column(i).path_in_schema == "image")
+        self.batch_size = max(1, min(self.num_rows, PAGE_BATCH_BYTES
+                                     * self.num_rows // max(payload, 1)))
+
+    def __iter__(self) -> Iterator[pa.RecordBatch]:
+        with pq.ParquetFile(self.path, metadata=self._meta) as f:
+            yield from f.iter_batches(batch_size=self.batch_size,
+                                      columns=PAGE_COLUMNS)
+
+
+def load_shard(shard: dict) -> tuple[pa.Table, PageStream | None]:
+    """One ``list_shards`` entry → (documents, pages or None). The documents
+    are read whole; the pages are a ``PageStream``, read as the page kernel
+    consumes them."""
     docs = pq.read_table(shard["docs_file"])
     if not shard["pages_file"]:
         return docs, None
-    return docs, pq.read_table(shard["pages_file"], columns=PAGE_COLUMNS)
+    return docs, PageStream(shard["pages_file"])
 
 
 def process_shard(
     docs: pa.Table,
-    pages: pa.Table | None,
+    pages: pa.Table | Iterable[pa.RecordBatch] | None,
     engine: Any,
     correction: bool = True,
     emit_diff: bool = True,
 ) -> pa.Table:
-    """The full extraction for one co-partitioned shard, in-process."""
+    """The full extraction for one co-partitioned shard, in-process.
+    ``pages`` is a table or a stream of record batches (``load_shard``'s
+    ``PageStream``); it is consumed once, by ``ocr_pages``, before the span
+    stages run."""
     page_regions = None if pages is None else ocr_pages(pages, engine)
     regions = clean_batch(resolve_spans(explode_spans(docs), page_regions))
     repacked = repack_table(regions)
@@ -146,6 +197,8 @@ def extract_sharded(
     elastic task pool uses every free CPU — there is no pool size to
     misconfigure and no stage can starve another.
     """
+    import ray.data
+
     shards = list_shards(corpus_dir)
     if not shards:
         raise ValueError(f"no document shards under {corpus_dir!r}")

@@ -141,7 +141,9 @@ def _unlzw(data: bytes, expected: int) -> bytes:
 
 
 def decode_tiff(buf: bytes) -> np.ndarray:
-    """TIFF bytes → uint8 HxW grayscale (RGB converted to luma)."""
+    """TIFF bytes → uint8 HxW grayscale (RGB converted to luma). A page
+    stored as one uncompressed 8-bit grayscale strip comes back as a
+    read-only view of ``buf``; every other page is a new array."""
     if buf[:2] == b"II" and buf[2:4] == b"*\x00":
         e = "<"
     elif buf[:2] == b"MM" and buf[2:4] == b"\x00*":
@@ -166,6 +168,17 @@ def decode_tiff(buf: bytes) -> np.ndarray:
 
     rows_per_strip = tags.get(_ROWS_PER_STRIP, [h])[0]
     row_bytes = w * spp
+    if comp == 1 and spp == 1 and rows_per_strip >= h:
+        # one uncompressed grayscale strip is the page: a read-only view of
+        # the payload, no copy
+        off, cnt = tags[_STRIP_OFFSETS][0], tags[_STRIP_COUNTS][0]
+        held = max(0, min(cnt, len(buf) - off))
+        if held < h * w:
+            raise ValueError(f"TIFF strip 0 holds {held} bytes, "
+                             f"expected {h * w}")
+        img = np.frombuffer(buf, np.uint8, h * w, off).reshape(h, w)
+        img.flags.writeable = False
+        return img
     predictor = tags.get(_PREDICTOR, [1])[0]
     # Each strip is written once into the page; a short strip, or too few
     # strips, is a ValueError, never a sheared page.

@@ -23,7 +23,7 @@ and repack counts errors per document.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -150,14 +150,17 @@ PAGE_REGION_FIELDS = [
 PAGE_REGION_SCHEMA = pa.schema(PAGE_REGION_FIELDS)
 
 
-def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
-    """The page kernel: page rows (``PAGE_COLUMNS``) → text-only region rows
-    keyed by ``media_ref`` (``PAGE_REGION_SCHEMA``), one per layout region.
+def ocr_pages(pages: pa.Table | Iterable[pa.RecordBatch],
+              engine: Any) -> pa.Table:
+    """The page kernel: page rows (``PAGE_COLUMNS``, a table or a stream of
+    record batches) → text-only region rows keyed by ``media_ref``
+    (``PAGE_REGION_SCHEMA``), one per layout region.
 
     Every pipeline OCRs through this loop; span rows are resolved against its
     output with a left join on ``media_ref`` (``resolve_spans``). A page that
     fails to decode, lay out or OCR yields one error row (empty text) and
-    none of its regions — never a job abort.
+    none of its regions — never a job abort; an error reading the stream
+    itself raises. The region columns are built once, over all batches.
     """
     cols: list[list] = [[] for _ in PAGE_REGION_FIELDS]
     for ref, buf, w, h, codec in page_rows(pages):
@@ -180,28 +183,30 @@ def ocr_pages(pages: pa.Table, engine: Any) -> pa.Table:
     return pa.Table.from_arrays(arrays, schema=PAGE_REGION_SCHEMA)
 
 
-def page_rows(pages: pa.Table) -> Iterator[tuple]:
+def page_rows(pages: pa.Table | Iterable[pa.RecordBatch]) -> Iterator[tuple]:
     """The one page loader: page rows (``PAGE_COLUMNS``) as ``(media_ref,
     payload, width, height, codec)``, the payload a zero-copy buffer and a
-    missing codec ``raw-zlib``."""
-    return zip(pages["media_ref"].to_pylist(), _payloads(pages["image"]),
-               pages["width"].to_pylist(), pages["height"].to_pylist(),
-               (c or "raw-zlib" for c in pages["codec"].to_pylist()))
+    missing codec ``raw-zlib``. ``pages`` is a table or an iterable of
+    record batches, read one batch at a time: only the batch being yielded
+    from is held here."""
+    for batch in pages.to_batches() if isinstance(pages, pa.Table) else pages:
+        yield from zip(batch["media_ref"].to_pylist(), _payloads(batch["image"]),
+                       batch["width"].to_pylist(), batch["height"].to_pylist(),
+                       (c or "raw-zlib" for c in batch["codec"].to_pylist()))
 
 
-def _payloads(col: pa.ChunkedArray) -> Iterator[pa.Buffer | None]:
-    """A binary column as zero-copy ``pa.Buffer`` slices of its data buffer
+def _payloads(arr: pa.Array) -> Iterator[pa.Buffer | None]:
+    """A binary array as zero-copy ``pa.Buffer`` slices of its data buffer
     (None for a null). ``to_pylist()``, and ``Scalar.as_buffer()`` too,
     would copy each payload into a new buffer."""
-    for chunk in col.chunks:
-        if not len(chunk):
-            continue
-        _, offsets, data = chunk.buffers()
-        data = data or pa.py_buffer(b"")
-        off = np.frombuffer(offsets, np.int64 if pa.types.is_large_binary(
-            chunk.type) else np.int32)[chunk.offset:chunk.offset + len(chunk) + 1]
-        for i, valid in enumerate(chunk.is_valid().to_pylist()):
-            yield data.slice(off[i], off[i + 1] - off[i]) if valid else None
+    if not len(arr):
+        return
+    _, offsets, data = arr.buffers()
+    data = data or pa.py_buffer(b"")
+    off = np.frombuffer(offsets, np.int64 if pa.types.is_large_binary(
+        arr.type) else np.int32)[arr.offset:arr.offset + len(arr) + 1]
+    for i, valid in enumerate(arr.is_valid().to_pylist()):
+        yield data.slice(off[i], off[i + 1] - off[i]) if valid else None
 
 
 class LayoutOcrStage:

@@ -536,6 +536,32 @@ def test_tiff_lzw_known_vector():
         decode_image(pa.py_buffer(buf), 3, 2, "tiff"), img)
 
 
+def test_tiff_single_uncompressed_strip_is_a_view_of_the_payload():
+    # one uncompressed grayscale strip covering the page decodes to a
+    # read-only view of the payload; LZW and multi-strip pages are copies
+    from norsk_historisk_avis_ocr_ray.sources.tiff import decode_tiff, encode_tiff
+
+    img = np.random.default_rng(9).integers(0, 256, (33, 47), np.uint8)
+    raw = encode_tiff(img)
+    for buf in (raw, bytearray(raw), pa.py_buffer(raw)):
+        out = decode_image(buf, 47, 33, "tiff")
+        np.testing.assert_array_equal(out, img)
+        assert np.shares_memory(out, np.frombuffer(buf, np.uint8))
+        assert not out.flags.writeable
+    with pytest.raises(ValueError, match="strip 0 holds 1546 bytes"):
+        decode_tiff(raw[:-5])
+
+    aaabbb = np.frombuffer(b"aaabbb", np.uint8).reshape(2, 3)
+    lzw = _tiff_with_strips(aaabbb, 5, [bytes([0x80, 0x18, 0x60, 0x46,
+                                                0x28, 0x24, 0x04])])
+    strips = _tiff_with_strips(img, 1, [img[:17].tobytes(), img[17:].tobytes()])
+    for buf, want in ((lzw, aaabbb), (strips, img)):
+        out = decode_image(pa.py_buffer(buf), want.shape[1], want.shape[0],
+                           "tiff")
+        np.testing.assert_array_equal(out, want)
+        assert not np.shares_memory(out, np.frombuffer(buf, np.uint8))
+
+
 def test_tiff_rejects_unsupported():
     from norsk_historisk_avis_ocr_ray.sources.tiff import decode_tiff
 

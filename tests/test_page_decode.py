@@ -4,18 +4,30 @@ reject raw-zlib payloads that do not inflate to exactly width*height bytes,
 and read the ``image`` column as zero-copy buffers; a mis-sized page is a
 per-page error, never a sheared page. ``inflate_exact`` gives the same
 pixels, profiles and exceptions on its libdeflate path and on its stdlib
-fallback, and a zlib bomb costs no memory beyond the page."""
+fallback, and a zlib bomb costs no memory beyond the page. A shard's pages
+streamed in record batches (``PageStream``) give the same output as the
+whole table, raise on a corrupt file, and never hold the ``image`` column
+twice."""
 
+import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-from norsk_historisk_avis_ocr_ray.pipelines.sharded import process_shard
+from norsk_historisk_avis_ocr_ray.pipelines import sharded
+from norsk_historisk_avis_ocr_ray.pipelines.sharded import (
+    PageStream,
+    load_shard,
+    process_shard,
+)
+from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA
 from norsk_historisk_avis_ocr_ray.sources import codec
 from norsk_historisk_avis_ocr_ray.sources.codec import (
     band_profiles,
@@ -27,6 +39,8 @@ from norsk_historisk_avis_ocr_ray.sources.pdf import build_scanned_pdf
 from norsk_historisk_avis_ocr_ray.sources.png import _chunk, encode_png
 from norsk_historisk_avis_ocr_ray.stages.layout import find_band_dividers
 from norsk_historisk_avis_ocr_ray.stages.ocr import (
+    PAGE_COLUMNS,
+    PAGE_REGION_SCHEMA,
     MockBarcodeOcr,
     _payloads,
     ocr_pages,
@@ -124,7 +138,7 @@ def test_payloads_are_zero_copy_slices():
         pa.array([], pa.binary()),
         pa.array([b"xyz"], pa.large_binary()).cast(pa.binary()),
     ])
-    got = list(_payloads(col))
+    got = [b for chunk in col.chunks for b in _payloads(chunk)]
     assert [None if b is None else b.to_pybytes() for b in got] == \
         [None, b"cde", b"", b"xyz"]
     data = col.chunks[0].buffers()[2]
@@ -348,3 +362,168 @@ def test_truncated_pdf_stream_is_a_value_error(monkeypatch):
     assert type(fast) is ValueError and type(slow) is ValueError
     assert str(fast) == str(slow)
     assert str(fast).startswith("PDF FlateDecode stream ")
+
+
+# --- the shard loader: pages streamed in record batches ---------------------
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    return make_corpus(8, seed=7)
+
+
+def _write(tmp_path, name, table, **kw):
+    path = str(tmp_path / name)
+    pq.write_table(table, path, **kw)
+    return path
+
+
+@pytest.mark.parametrize("row_group_size,batch_bytes", [
+    (None, sharded.PAGE_BATCH_BYTES),  # one row group, one batch
+    (None, 1),                         # one row group, one page per batch
+    (2, sharded.PAGE_BATCH_BYTES),     # one batch across 2-page row groups
+    (2, 1),
+])
+def test_streamed_pages_equal_whole_table_read(small_corpus, tmp_path,
+                                               monkeypatch, row_group_size,
+                                               batch_bytes):
+    monkeypatch.setattr(sharded, "PAGE_BATCH_BYTES", batch_bytes)
+    path = _write(tmp_path, "pages.parquet", small_corpus["pages"],
+                  row_group_size=row_group_size)
+    stream = PageStream(path)
+    assert stream.num_rows == small_corpus["pages"].num_rows
+    n = stream.num_rows
+    assert [b.num_rows for b in stream] == ([1] * n if batch_bytes == 1
+                                            else [n])
+    table = pq.read_table(path, columns=PAGE_COLUMNS)
+    engine = MockBarcodeOcr()
+    assert ocr_pages(stream, engine).equals(ocr_pages(table, engine))
+    docs = small_corpus["documents"]
+    assert process_shard(docs, stream, engine).equals(
+        process_shard(docs, table, engine))
+
+
+def test_zero_row_pages_file_makes_every_media_span_missing(small_corpus,
+                                                            tmp_path):
+    path = _write(tmp_path, "pages.parquet", small_corpus["pages"].slice(0, 0))
+    stream = PageStream(path)
+    assert stream.num_rows == 0 and stream.batch_size == 1
+    engine = MockBarcodeOcr()
+    regions = ocr_pages(stream, engine)
+    assert regions.num_rows == 0 and regions.schema == PAGE_REGION_SCHEMA
+    docs = small_corpus["documents"]
+    out = process_shard(docs, stream, engine)
+    assert out.equals(process_shard(docs, None, engine))
+    rows = out.to_pylist()
+    assert sum(r["n_errors"] for r in rows) > 0
+    for r in rows:  # every media span (it keeps its media_ref) is an error
+        media = [s for s in r["spans"] if s["media_ref"]]
+        assert r["n_errors"] == len(media), r["doc_id"]
+        assert all(s["text"] == "" for s in media), r["doc_id"]
+
+
+def test_null_image_in_stream_is_one_error_row_beside_good_page(
+        small_corpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(sharded, "PAGE_BATCH_BYTES", 1)  # a batch per page
+    good = small_corpus["pages"].slice(0, 1)
+    null = good.set_column(good.schema.get_field_index("image"), "image",
+                           pa.array([None], pa.binary()))
+    null = null.set_column(0, "media_ref", pa.array(["p-null"]))
+    path = _write(tmp_path, "pages.parquet", pa.concat_tables([null, good]))
+    engine = MockBarcodeOcr()
+    rows = ocr_pages(PageStream(path), engine).to_pylist()
+    assert rows[0]["media_ref"] == "p-null" and rows[0]["text"] == ""
+    assert rows[0]["error"]
+    assert rows[1:] == ocr_pages(good, engine).to_pylist()
+    assert all(r["error"] is None for r in rows[1:])
+
+
+def test_pages_file_without_a_page_column_raises(small_corpus, tmp_path):
+    # the batch reader would skip the column; the loader must not
+    path = _write(tmp_path, "pages.parquet",
+                  small_corpus["pages"].drop_columns(["codec"]))
+    with pytest.raises(ValueError, match="codec"):
+        PageStream(path)
+
+
+def test_corrupt_page_in_stream_raises_like_whole_read(small_corpus, tmp_path,
+                                                      monkeypatch):
+    # the last row group's image pages overwritten: the pages before it
+    # stream (a batch per page) and are OCR'd, then the read must raise,
+    # never end with fewer pages
+    monkeypatch.setattr(sharded, "PAGE_BATCH_BYTES", 1)
+    path = _write(tmp_path, "pages.parquet", small_corpus["pages"],
+                  row_group_size=2)
+    meta = pq.ParquetFile(path).metadata
+    col = meta.row_group(meta.num_row_groups - 1).column(
+        small_corpus["pages"].schema.get_field_index("image"))
+    start = col.dictionary_page_offset or col.data_page_offset
+    raw = bytearray(open(path, "rb").read())
+    raw[start:start + col.total_compressed_size] = \
+        b"\xff" * col.total_compressed_size
+    with open(path, "wb") as f:
+        f.write(raw)
+    with pytest.raises(OSError):  # what the whole-table read raised
+        pq.read_table(path, columns=PAGE_COLUMNS)
+    docs_file = _write(tmp_path, "docs.parquet", small_corpus["documents"])
+    with pytest.raises(OSError):
+        process_shard(*load_shard({"shard": "s", "docs_file": docs_file,
+                                   "pages_file": path}), MockBarcodeOcr())
+
+
+def test_stream_holds_the_image_column_about_once(tmp_path):
+    # 100 uncompressed 1 MiB TIFF pages (decoded as views of their
+    # payloads), ``image`` written without a dictionary as the benchmark
+    # corpora are: the shard's peak RSS growth stays near one copy of the
+    # column (the decompressed data page) plus a batch. A whole-table read
+    # holds the data page and a full Arrow copy of the column at once
+    # (>2x). Arrow's max_memory() cannot tell the two apart: the binary
+    # reader reserves the rest of the data page for every batch, untouched,
+    # so both read ~2x there. jemalloc's decay is set to 0 so freed batches
+    # leave RSS at once instead of after its decay time. The peak is VmHWM:
+    # a child's ru_maxrss starts at its parent's RSS at the fork.
+    from norsk_historisk_avis_ocr_ray.sources.codec import encode_image
+
+    n, side = 100, 1024
+    page = np.full((side, side), 255, np.uint8)
+    page[::64] = 0
+    pages = pa.table({
+        "media_ref": [f"p{i}" for i in range(n)],
+        "image": pa.array([encode_image(page, "tiff")] * n, pa.binary()),
+        "width": pa.array([side] * n, pa.int32()),
+        "height": pa.array([side] * n, pa.int32()),
+        "codec": ["tiff"] * n})
+    column_mb = pages["image"].nbytes / 2**20
+    docs = pa.Table.from_pylist(
+        [{"doc_id": f"d{i}", "spans": [{"kind": "media", "text": "",
+                                        "media_ref": f"p{i}", "offset": 0}]}
+         for i in range(n)], schema=DOCUMENTS_SCHEMA)
+    shard = {"shard": "s",
+             "docs_file": _write(tmp_path, "docs.parquet", docs),
+             "pages_file": _write(tmp_path, "pages.parquet", pages,
+                                  use_dictionary=["media_ref", "codec"])}
+    del pages
+    code = textwrap.dedent(f"""
+        import pyarrow as pa
+        from norsk_historisk_avis_ocr_ray.pipelines.sharded import (
+            load_shard, process_shard)
+        from norsk_historisk_avis_ocr_ray.stages.ocr import MockBarcodeOcr
+
+        def status_kb(key):  # this process's own memory, not its parent's
+            with open("/proc/self/status") as f:
+                return int(next(l for l in f if l.startswith(key)).split()[1])
+
+        pa.jemalloc_set_decay_ms(0)
+        engine = MockBarcodeOcr()
+        rss0 = status_kb("VmRSS:")
+        out = process_shard(*load_shard({shard!r}), engine)
+        print((status_kb("VmHWM:") - rss0) / 1024, out.num_rows)
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    r = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr[-4000:]
+    grew_mb, n_out = r.stdout.split()
+    assert int(n_out) == n
+    assert float(grew_mb) / column_mb < 1.75, (grew_mb, column_mb)

@@ -61,6 +61,30 @@ def test_lineage_records(copart_dir, tmp_path):
         assert os.path.exists(r["output"])
 
 
+def test_pages_in_totals_count_every_page(copart_dir, tmp_path):
+    # the lineage takes each shard's page count from its pages file footer,
+    # though the pages themselves are only streamed through the kernel
+    s = run_resumable(copart_dir, str(tmp_path / "out"))
+    n_pages = pq.read_table(os.path.join(copart_dir, "pages")).num_rows
+    assert n_pages > 0 and s["totals"]["pages_in"] == n_pages
+
+
+def test_runner_import_leaves_ray_data_out():
+    # a run_resumable worker imports pipelines.run (and .sharded with it);
+    # ray.data, and pandas with it, stays out until extract_sharded runs
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys\n"
+            "import norsk_historisk_avis_ocr_ray.pipelines.run\n"
+            "print('ray.data' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], cwd=root,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr[-4000:]
+    assert r.stdout.split() == ["False"]
+
+
 def test_less_than_one_free_cpu_still_commits_every_shard(copart_dir, tmp_path):
     # an actor holds 3.5 of the session's 4 CPUs when the run starts: the
     # shards must queue behind it, not be skipped
