@@ -137,7 +137,11 @@ def readable_diff(before: str, after: str) -> str:
     matcher for equal word lists and for same-length substitutions that
     difflib provably aligns position by position.
     """
-    bw, aw = before.split(), after.split()
+    return word_list_diff(before.split(), after.split())
+
+
+def word_list_diff(bw: list[str], aw: list[str]) -> str:
+    """``readable_diff`` of two texts already split into words."""
     ctx = 3
     changes = []
     for op, i1, i2, j1, j2 in word_opcodes(bw, aw):

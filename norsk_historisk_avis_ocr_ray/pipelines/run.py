@@ -34,7 +34,7 @@ def _run_shard(shard: dict, out_dir: str, correction: bool,
     engine = cached_engine(engine_factory)  # once per worker process
     usage0 = dict(getattr(engine, "usage", None) or {})  # cross-shard baseline
     docs, pages = load_shard(shard)
-    out = process_shard(docs, pages, engine, correction=correction,
+    out = process_shard([(docs, pages)], engine, correction=correction,
                         emit_diff=emit_diff)
 
     final = os.path.join(out_dir, f"{shard['shard']}.parquet")

@@ -7,35 +7,49 @@ media in the same shard), the whole extraction — explode → layout+OCR →
 clean → repack → correct — is shard-local: every row of a document lives in
 exactly one shard, so reading-order reassembly needs **no groupby shuffle at
 all**. The shards are dealt into at most ``GROUPS_PER_CPU`` groups per CPU,
-one Ray task per group running its shards in turn: the per-task dispatch
-cost is paid per group, not per shard, while several groups per CPU still
-let the elastic task pool even out skew (a 6-column broadsheet-heavy shard
-just takes longer; the other groups fill the idle cores).
+one Ray task per group: the per-task dispatch cost is paid per group, not
+per shard, while several groups per CPU still let the elastic task pool
+even out skew (a 6-column broadsheet-heavy shard just takes longer; the
+other groups fill the idle cores).
+
+A task loads its group's shards one at a time (``load_shard``: the docs
+read and the pages stream) and ``process_shard`` runs each shard's pages
+through the page kernel in turn. The span stages — explode → resolve →
+clean → repack → correct — then run **once over the whole group**, keyed
+by ``part``, each shard's int32 ordinal in its group: resolve joins on
+``(part, media_ref)`` and repack segments on ``(part, doc_id)``, so the
+output is the concatenation of the per-shard outputs, row for row, for any
+grouping. The fixed cost of each stage's Arrow calls is paid per group.
 
 Partitioning assumption (documented per the operator contract): all spans of
 a ``doc_id`` and all pages they reference are inside the shard. Inputs that
 don't satisfy it must use ``pipelines.extract.extract`` (the general
 shuffle-based pipeline); a cross-shard ``media_ref`` here degrades to a
-per-row MissingMedia error, never a wrong span sequence.
+per-row MissingMedia error, never a wrong span sequence, and a doc_id in two
+shards gives one row per shard, also when the shards share a group.
 
 The same loader and per-shard function (``load_shard`` → ``process_shard``)
-are the body of the resumable runner (``pipelines.run``): output is written
-per shard and committed to a manifest. The loader streams a shard's pages
-in record batches of about ``PAGE_BATCH_BYTES`` of payload (``PageStream``),
-so no Arrow copy of the whole ``image`` column is ever held beside the
-parquet reader's decompressed data page.
+are the body of the resumable runner (``pipelines.run``), where each shard
+is a group of one: output is written per shard and committed to a manifest.
+The loader streams a shard's pages in record batches of about
+``PAGE_BATCH_BYTES`` of payload (``PageStream``), so no Arrow copy of the
+whole ``image`` column is ever held beside the parquet reader's
+decompressed data page.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.scale import cluster_cpus
 from ..functions.textops import clean_batch
+from ..schema import DOCUMENTS_SCHEMA, SPAN_STRUCT
 from ..stages.correct import CorrectorStage
 from ..stages.explode import explode_spans
 from ..stages.ocr import (PAGE_COLUMNS, MockBarcodeOcr, cached_engine,
@@ -138,40 +152,76 @@ class PageStream:
 
 
 def load_shard(shard: dict) -> tuple[pa.Table, PageStream | None]:
-    """One ``list_shards`` entry → (documents, pages or None). The documents
-    are read whole; the pages are a ``PageStream``, read as the page kernel
-    consumes them."""
-    docs = pq.read_table(shard["docs_file"])
+    """One ``list_shards`` entry → (documents, pages or None). The
+    documents' ``doc_id`` and ``spans`` are read whole; the pages are a
+    ``PageStream``, read as the page kernel consumes them."""
+    with pq.ParquetFile(shard["docs_file"]) as f:
+        docs = f.read(columns=["doc_id", "spans"], use_threads=False)
     if not shard["pages_file"]:
         return docs, None
     return docs, PageStream(shard["pages_file"])
 
 
 def process_shard(
-    docs: pa.Table,
-    pages: pa.Table | Iterable[pa.RecordBatch] | None,
+    shards: Sequence[tuple[pa.Table,
+                           pa.Table | Iterable[pa.RecordBatch] | None]],
     engine: Any,
     correction: bool = True,
     emit_diff: bool = True,
 ) -> pa.Table:
-    """The full extraction for one co-partitioned shard, in-process.
-    ``pages`` is a table or a stream of record batches (``load_shard``'s
-    ``PageStream``); it is consumed once, by ``ocr_pages``, before the span
-    stages run."""
-    page_regions = None if pages is None else ocr_pages(pages, engine)
-    regions = clean_batch(resolve_spans(explode_spans(docs), page_regions))
+    """The full extraction for a group of co-partitioned shards, in process;
+    one shard is a group of one. Each entry is a shard's documents and its
+    pages: a table, a stream of record batches (``load_shard``'s
+    ``PageStream``) or None.
+
+    Each shard's pages are consumed once, by ``ocr_pages``, one shard after
+    the other. The span stages then run once over the group, every row
+    keyed by its shard's position in ``shards`` (``part``). The output is
+    the concatenation of what each shard alone gives, in ``shards`` order."""
+    docs, page_regions = [], []
+    for part, (shard_docs, pages) in enumerate(shards):
+        docs.append(_with_part(_span_docs(shard_docs), part))
+        if pages is not None:
+            page_regions.append(_with_part(ocr_pages(pages, engine), part))
+    spans = explode_spans(pa.concat_tables(docs))
+    regions = clean_batch(resolve_spans(
+        spans, pa.concat_tables(page_regions) if page_regions else None))
     repacked = repack_table(regions)
     return CorrectorStage(enabled=correction, emit_diff=emit_diff)(repacked)
+
+
+def _span_docs(docs: pa.Table) -> pa.Table:
+    """``docs``' ``doc_id`` and ``spans`` in ``DOCUMENTS_SCHEMA``: a group's
+    shards concatenate only in one schema. A shard in another one (another
+    span field order, wider types, extra span fields) has its span fields
+    taken by name, as ``explode_spans`` reads them."""
+    docs = docs.select(["doc_id", "spans"])
+    if docs.schema.equals(DOCUMENTS_SCHEMA):
+        return docs
+    spans = docs["spans"].combine_chunks()
+    items = pc.list_flatten(spans)
+    items = pa.StructArray.from_arrays(
+        [pc.struct_field(items, f.name).cast(f.type) for f in SPAN_STRUCT],
+        fields=list(SPAN_STRUCT), mask=pc.is_null(items))
+    offsets = np.zeros(len(spans) + 1, np.int32)
+    np.cumsum(pc.fill_null(pc.list_value_length(spans), 0), out=offsets[1:])
+    spans = pa.ListArray.from_arrays(offsets, items, mask=pc.is_null(spans))
+    return pa.Table.from_arrays([docs["doc_id"].cast(pa.string()), spans],
+                                schema=DOCUMENTS_SCHEMA)
+
+
+def _with_part(t: pa.Table, part: int) -> pa.Table:
+    return t.append_column("part",
+                           pa.array(np.full(t.num_rows, part, np.int32)))
 
 
 def _shard_task_fn(engine_factory: Callable[[], Any], correction: bool,
                    emit_diff: bool):
     def fn(batch: pa.Table) -> pa.Table:
         engine = cached_engine(engine_factory)
-        return pa.concat_tables([
-            process_shard(*load_shard(shard), engine, correction=correction,
-                          emit_diff=emit_diff)
-            for shard in batch.to_pylist()])
+        shards = [load_shard(shard) for shard in batch.to_pylist()]
+        return process_shard(shards, engine, correction=correction,
+                             emit_diff=emit_diff)
     return fn
 
 
@@ -189,9 +239,9 @@ def extract_sharded(
     GROUPS_PER_CPU × CPUs)`` groups (group ``i`` is ``shards[i::n]``, so
     every group starts with one of the heaviest shards and the groups'
     totals stay close). Each group is one source block and one task, which
-    runs its shards in turn and returns their rows concatenated; a corpus
-    with at most ``GROUPS_PER_CPU × CPUs`` shards keeps one task per shard.
-    Per-shard output is the same whatever the grouping.
+    loads its shards in turn and runs them through ``process_shard`` as one
+    group; a corpus with at most ``GROUPS_PER_CPU × CPUs`` shards keeps one
+    task per shard. The rows are the same whatever the grouping.
 
     Tasks (not actors): the engine is cached per worker process, and the
     elastic task pool uses every free CPU — there is no pool size to

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.textops import readable_diff, word_opcodes
+from ..functions.textops import word_list_diff, word_opcodes
 
 # (ocr_error_substring, correction) — the confusion pairs the reference prompt
 # instructs the corrector to fix, in a fixed priority order.
@@ -59,6 +59,18 @@ LEXICON = frozenset(w.lower() for w in LEXICON_WORDS)
 _PUNCT = ".,;:!?«»\"'()[]–—-"
 
 
+class _WordMap(dict):
+    """word → corrected word, filled on first lookup by ``fix``."""
+
+    def __init__(self, fix):
+        super().__init__({"": ""})
+        self._fix = fix
+
+    def __missing__(self, word: str) -> str:
+        out = self[word] = self._fix(word)
+        return out
+
+
 class NorwegianNormalizer:
     """Deterministic token-level corrector. Never deletes or reorders words."""
 
@@ -66,21 +78,19 @@ class NorwegianNormalizer:
                  pairs: list[tuple[str, str]] | None = None):
         self.lexicon = lexicon
         self.pairs = pairs if pairs is not None else CONFUSION_PAIRS
-        self._cache: dict[str, str] = {}
+        self._words = _WordMap(self._fix_word)
 
     def correct_word(self, word: str) -> str:
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
+        return self._words[word]
+
+    def _fix_word(self, word: str) -> str:
         core = word.strip(_PUNCT)
-        out = word
         if core and core.lower() not in self.lexicon:
             fixed = self._fix_core(core)
             if fixed is not None:
                 i = word.find(core)
-                out = word[:i] + fixed + word[i + len(core):]
-        self._cache[word] = out
-        return out
+                return word[:i] + fixed + word[i + len(core):]
+        return word
 
     def _fix_core(self, core: str) -> str | None:
         low = core.lower()
@@ -104,22 +114,20 @@ class NorwegianNormalizer:
     def correct(self, text: str) -> str:
         if not text:
             return text
-        # split on spaces only — newlines/paragraph structure preserved exactly
-        # (the reference prompt: "Preserve the original paragraph structure").
-        parts = text.split(" ")
-        return " ".join(
-            "\n".join(self.correct_word(w) if w else w for w in p.split("\n"))
-            if "\n" in p else (self.correct_word(p) if p else p)
-            for p in parts
-        )
+        # tokens are split on spaces and newlines only, and both are kept
+        # exactly: the paragraph structure is preserved (the reference
+        # prompt: "Preserve the original paragraph structure").
+        word = self._words.__getitem__
+        return "\n".join(" ".join(map(word, line.split(" ")))
+                         for line in text.split("\n"))
 
 
-def word_edits(raw: str, fixed: str) -> int:
-    """Words a correction edited. Same word count (the normalizer never
-    inserts or deletes): the positions whose word differs. Otherwise (a
-    corrector slot that does): the words ``readable_diff``'s alignment marks
-    inserted, deleted or replaced, the longer side of each replace."""
-    rw, fw = raw.split(), fixed.split()
+def word_edits(rw: list[str], fw: list[str]) -> int:
+    """Words a correction edited, from the raw and fixed texts' word lists.
+    Same word count (the normalizer never inserts or deletes): the positions
+    whose word differs. Otherwise (a corrector slot that does): the words
+    ``readable_diff``'s alignment marks inserted, deleted or replaced, the
+    longer side of each replace."""
     if len(rw) == len(fw):
         return sum(a != b for a, b in zip(rw, fw))
     return sum(max(i2 - i1, j2 - j1)
@@ -166,9 +174,14 @@ class CorrectorStage:
             transcribed.append(fixed)
             changed = fixed != raw
             corrected.append(changed)
-            n_edits.append(word_edits(raw, fixed) if changed else 0)
-            diffs.append(readable_diff(raw, fixed) if self.emit_diff
-                         else ("changed" if changed else "No changes detected."))
+            if not changed:
+                n_edits.append(0)
+                diffs.append("No changes detected.")
+                continue
+            rw, fw = raw.split(), fixed.split()
+            n_edits.append(word_edits(rw, fw))
+            diffs.append(word_list_diff(rw, fw) if self.emit_diff
+                         else "changed")
         batch = batch.drop_columns(["transcribed_raw"])
         batch = batch.append_column("transcribed", pa.array(transcribed, pa.string()))
         batch = batch.append_column("corrected", pa.array(corrected, pa.bool_()))

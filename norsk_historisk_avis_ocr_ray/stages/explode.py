@@ -6,6 +6,10 @@ list position, ``tesseract_engine.py:158-178``). Documents with an empty/null
 span list emit a single ``kind='empty'`` sentinel row so they survive the
 round trip and repack to an empty span list.
 
+An int32 ``part`` column, when the input has one (the shard ordinal of a
+group of shards, ``pipelines.sharded``), leads every output row; the
+dataflow path has none and its rows are ``EXPLODED_SCHEMA`` exactly.
+
 Pure Arrow kernels (``list_parent_indices`` / ``list_flatten`` /
 ``struct_field``) — zero Python per row.
 """
@@ -27,18 +31,22 @@ EXPLODED_SCHEMA = pa.schema([
 def explode_spans(tbl: pa.Table) -> pa.Table:
     doc_ids = tbl.column("doc_id").combine_chunks()
     spans = tbl.column("spans").combine_chunks()
+    keyed = "part" in tbl.column_names
+    schema = (EXPLODED_SCHEMA.insert(0, pa.field("part", pa.int32())) if keyed
+              else EXPLODED_SCHEMA)
+    parts = tbl.column("part").combine_chunks() if keyed else None
 
     parent = pc.list_parent_indices(spans)
     flat = pc.list_flatten(spans)
     out = pa.Table.from_arrays(
-        [
+        ([pc.take(parts, parent)] if keyed else []) + [
             pc.take(doc_ids, parent),
             pc.struct_field(flat, "offset").cast(pa.int32()),
             pc.fill_null(pc.struct_field(flat, "kind"), ""),
             pc.fill_null(pc.struct_field(flat, "text"), ""),
             pc.fill_null(pc.struct_field(flat, "media_ref"), ""),
         ],
-        schema=EXPLODED_SCHEMA,
+        schema=schema,
     )
 
     lengths = pc.fill_null(pc.list_value_length(spans), 0)
@@ -47,14 +55,14 @@ def explode_spans(tbl: pa.Table) -> pa.Table:
         empty_ids = pc.filter(doc_ids, empty_mask)
         n = len(empty_ids)
         sentinel = pa.Table.from_arrays(
-            [
+            ([pc.filter(parts, empty_mask)] if keyed else []) + [
                 empty_ids,
                 pa.array([0] * n, pa.int32()),
                 pa.array(["empty"] * n, pa.string()),
                 pa.array([""] * n, pa.string()),
                 pa.array([""] * n, pa.string()),
             ],
-            schema=EXPLODED_SCHEMA,
+            schema=schema,
         )
         out = pa.concat_tables([out, sentinel])
     return out

@@ -225,6 +225,15 @@ REGION_COLS = ["doc_id", "in_offset", "region_idx", "kind", "text",
                "media_ref", "error", "n_cols"]
 
 
+def _region_table(t: pa.Table, columns: list) -> pa.Table:
+    """``REGION_COLS`` rows from ``columns``, led by ``t``'s ``part`` column
+    when it has one (span rows of a group of shards)."""
+    if "part" in t.column_names:
+        return pa.Table.from_arrays([t["part"], *columns],
+                                    names=["part", *REGION_COLS])
+    return pa.Table.from_arrays(columns, names=REGION_COLS)
+
+
 def finalize_media(t: pa.Table) -> pa.Table:
     """Media spans left-joined with page regions → region rows. A span whose
     page is missing becomes one ``MissingMedia: <ref>`` error row (empty
@@ -234,19 +243,16 @@ def finalize_media(t: pa.Table) -> pa.Table:
         missing,
         pc.binary_join_element_wise("MissingMedia", t["media_ref"], ": "),
         t["error"])
-    return pa.Table.from_arrays(
-        [
-            t["doc_id"],
-            t["in_offset"].cast(pa.int32()),
-            pc.fill_null(t["region_idx"], 0).cast(pa.int32()),
-            pc.fill_null(t["kind"], "text"),
-            pc.fill_null(t["text"], ""),
-            t["media_ref"],
-            err,
-            pc.fill_null(t["n_cols"], 0).cast(pa.int32()),
-        ],
-        names=REGION_COLS,
-    )
+    return _region_table(t, [
+        t["doc_id"],
+        t["in_offset"].cast(pa.int32()),
+        pc.fill_null(t["region_idx"], 0).cast(pa.int32()),
+        pc.fill_null(t["kind"], "text"),
+        pc.fill_null(t["text"], ""),
+        t["media_ref"],
+        err,
+        pc.fill_null(t["n_cols"], 0).cast(pa.int32()),
+    ])
 
 
 def passthrough_spans(t: pa.Table) -> pa.Table:
@@ -254,31 +260,36 @@ def passthrough_spans(t: pa.Table) -> pa.Table:
     every other kind becomes a ``text`` region with no ``media_ref``."""
     n = t.num_rows
     empty = pc.equal(t["kind"], "empty")
-    return pa.Table.from_arrays(
-        [
-            t["doc_id"],
-            t["in_offset"].cast(pa.int32()),
-            pa.array([0] * n, pa.int32()),
-            pc.if_else(empty, "empty", "text"),
-            pc.if_else(empty, "", t["text"]),
-            pa.array([""] * n, pa.string()),
-            pa.nulls(n, pa.string()),
-            pa.array([0] * n, pa.int32()),
-        ],
-        names=REGION_COLS,
-    )
+    return _region_table(t, [
+        t["doc_id"],
+        t["in_offset"].cast(pa.int32()),
+        pa.array([0] * n, pa.int32()),
+        pc.if_else(empty, "empty", "text"),
+        pc.if_else(empty, "", t["text"]),
+        pa.array([""] * n, pa.string()),
+        pa.nulls(n, pa.string()),
+        pa.array([0] * n, pa.int32()),
+    ])
 
 
 def resolve_spans(spans: pa.Table, page_regions: pa.Table | None = None) -> pa.Table:
     """Exploded span rows + ``ocr_pages`` output → region rows, in process:
-    a local left join of the media spans on ``media_ref``. With no page
-    regions every media span is ``MissingMedia``."""
+    a local left join of the media spans on ``media_ref``, or on ``(part,
+    media_ref)`` when the spans carry a ``part`` column (a group of shards,
+    whose page regions then carry it too): each shard's spans resolve
+    against that shard's pages only. With no page regions every media span
+    is ``MissingMedia``."""
+    keyed = "part" in spans.column_names
+    keys = ["part", "media_ref"] if keyed else ["media_ref"]
     if page_regions is None:
         page_regions = PAGE_REGION_SCHEMA.empty_table()
+        if keyed:
+            page_regions = page_regions.add_column(
+                0, "part", pa.array([], pa.int32()))
     is_media = pc.equal(spans["kind"], "media")
-    media = spans.filter(is_media).select(["doc_id", "in_offset", "media_ref"])
-    # one shard per worker CPU already: no Arrow thread pool for the join
-    joined = media.join(page_regions, "media_ref", join_type="left outer",
+    media = spans.filter(is_media).select([*keys, "doc_id", "in_offset"])
+    # one task per worker CPU already: no Arrow thread pool for the join
+    joined = media.join(page_regions, keys, join_type="left outer",
                         use_threads=False)
     return pa.concat_tables([finalize_media(joined),
                              passthrough_spans(spans.filter(pc.invert(is_media)))])

@@ -51,33 +51,42 @@ def repack_table(tbl: pa.Table) -> pa.Table:
     all rows of a doc must be present — the caller guarantees co-location,
     either via groupby(doc_id) or shard-local processing).
 
+    Rows with an int32 ``part`` column (a group of shards,
+    ``pipelines.sharded``) are sorted and segmented on ``(part, doc_id)``,
+    and the column is dropped: the output is each part's repacked rows in
+    ``part`` order, so a doc_id in two parts gives two rows.
+
     Fully vectorized: one Arrow sort, numpy boundary masks, and
     ``ListArray.from_arrays`` over per-doc offset boundaries — no per-row
     Python in the engine's hottest wide-stage loop."""
     if tbl.num_rows == 0:
         return REPACKED_SCHEMA.empty_table()
-    tbl = tbl.sort_by([("doc_id", "ascending"), ("in_offset", "ascending"),
-                       ("region_idx", "ascending")]).combine_chunks()
+    keyed = "part" in tbl.column_names
+    keys = (["part"] if keyed else []) + ["doc_id", "in_offset", "region_idx"]
+    tbl = tbl.sort_by([(k, "ascending") for k in keys]).combine_chunks()
 
     doc_np = tbl["doc_id"].to_numpy(zero_copy_only=False)
     io_np = tbl["in_offset"].to_numpy(zero_copy_only=False)
     ri_np = tbl["region_idx"].to_numpy(zero_copy_only=False)
-
-    # Keep-first dedup of exact (doc_id, in_offset, region_idx) duplicates.
     n = len(doc_np)
-    keep = np.ones(n, dtype=bool)
-    if n > 1:
-        keep[1:] = ((doc_np[1:] != doc_np[:-1])
-                    | (io_np[1:] != io_np[:-1])
-                    | (ri_np[1:] != ri_np[:-1]))
+    # a new document starts where (part, doc_id) changes
+    new_doc = np.ones(n, dtype=bool)
+    new_doc[1:] = doc_np[1:] != doc_np[:-1]
+    if keyed:
+        part_np = tbl["part"].to_numpy()
+        new_doc[1:] |= part_np[1:] != part_np[:-1]
+
+    # Keep-first dedup of exact (part, doc_id, in_offset, region_idx)
+    # duplicates.
+    keep = new_doc.copy()
+    keep[1:] |= (io_np[1:] != io_np[:-1]) | (ri_np[1:] != ri_np[:-1])
     if not keep.all():
         tbl = tbl.filter(pa.array(keep))
         doc_np = doc_np[keep]
+        new_doc = new_doc[keep]
         n = len(doc_np)
 
     # Document segment boundaries over the sorted, deduped rows.
-    new_doc = np.ones(n, dtype=bool)
-    new_doc[1:] = doc_np[1:] != doc_np[:-1]
     doc_starts = np.flatnonzero(new_doc)
     n_docs = len(doc_starts)
     seg_lengths = np.diff(np.append(doc_starts, n))

@@ -2,11 +2,15 @@
 
 No benchmark golden or oracle hash reads these columns, so they are pinned
 here end to end: ``process_shard`` over the golden corpus and a text-only
-corpus, row for row against a reference computed with difflib directly."""
+corpus, row for row against a reference computed with difflib directly.
+The normalizer itself is compared with its split-twice reference copy on
+random texts."""
+
+import random
 
 import pyarrow as pa
 import pytest
-from reference_textops import difflib_readable_diff
+from reference_textops import SplitTwiceNormalizer, difflib_readable_diff
 
 from norsk_historisk_avis_ocr_ray.pipelines.sharded import process_shard
 from norsk_historisk_avis_ocr_ray.stages.correct import (
@@ -46,8 +50,8 @@ def golden_shard():
 def test_audit_columns_match_difflib_reference(shard):
     docs, pages = shard()
     engine = MockBarcodeOcr()
-    raw = process_shard(docs, pages, engine, correction=False)
-    out = process_shard(docs, pages, engine)
+    raw = process_shard([(docs, pages)], engine, correction=False)
+    out = process_shard([(docs, pages)], engine)
     assert raw["doc_id"].to_pylist() == out["doc_id"].to_pylist()
     normalizer = NorwegianNormalizer()
     n_changed = 0
@@ -84,3 +88,41 @@ def test_n_edits_counts_inserted_and_deleted_words_once(factory):
     assert out["corrected"]
     assert out["n_edits"] == 1
     assert out["diff"].startswith("Correction changes (1 edits)")
+
+
+# words the lexicon fixes, words it knows, words it leaves alone
+FIXABLE = ["fodt", "rnannen", "liuset", "clagen", "kvinnen", "bladet", "aer"]
+KNOWN = ["og", "i", "det", "avisen", "Kongen", "Stortinget"]
+OTHER = ["xyz", "Oslo", "1952", "-", "«", "rn", "o", "ae"]
+SEPARATORS = [" ", "  ", "\t", "\n", "\n\n", " \n", "\n ", " \t "]
+
+
+def random_text(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(0, 12)):
+        word = rng.choice(rng.choice([FIXABLE, KNOWN, OTHER]))
+        if rng.random() < 0.25:
+            word = word.upper()
+        if rng.random() < 0.3:
+            word = rng.choice(["«", "(", '"', ""]) + word + rng.choice(
+                [".", ",", "»", ")", "!", ""])
+        parts.append(word)
+        parts.append(rng.choice(SEPARATORS))
+    if parts and rng.random() < 0.5:
+        parts.pop()
+    if rng.random() < 0.2:
+        parts.insert(0, rng.choice(SEPARATORS))
+    return "".join(parts)
+
+
+def test_normalizer_equals_split_twice_reference():
+    rng = random.Random(5)
+    fast, ref = NorwegianNormalizer(), SplitTwiceNormalizer()
+    texts = ["", " ", "\n", "\n\n", "a  b", "fodt\tfodt", "fodt\n\nfodt "]
+    texts += [random_text(rng) for _ in range(3000)]
+    n_changed = 0
+    for text in texts:
+        want = ref.correct(text)
+        assert fast.correct(text) == want, repr(text)
+        n_changed += want != text
+    assert 0 < n_changed < len(texts)

@@ -168,7 +168,8 @@ def test_mis_sized_pages_are_page_errors_in_process_shard():
     assert all(e.startswith("ValueError: raw-zlib") for e in errors.values())
 
     out = {r["doc_id"]: r for r in
-           process_shard(corpus["documents"], pages, MockBarcodeOcr()).to_pylist()}
+           process_shard([(corpus["documents"], pages)],
+                         MockBarcodeOcr()).to_pylist()}
     golden = {g["doc_id"]: g for g in corpus["golden"].to_pylist()}
     assert set(out) == set(golden)
     # one error row per media span that names a bad page
@@ -398,8 +399,8 @@ def test_streamed_pages_equal_whole_table_read(small_corpus, tmp_path,
     engine = MockBarcodeOcr()
     assert ocr_pages(stream, engine).equals(ocr_pages(table, engine))
     docs = small_corpus["documents"]
-    assert process_shard(docs, stream, engine).equals(
-        process_shard(docs, table, engine))
+    assert process_shard([(docs, stream)], engine).equals(
+        process_shard([(docs, table)], engine))
 
 
 def test_zero_row_pages_file_makes_every_media_span_missing(small_corpus,
@@ -411,8 +412,8 @@ def test_zero_row_pages_file_makes_every_media_span_missing(small_corpus,
     regions = ocr_pages(stream, engine)
     assert regions.num_rows == 0 and regions.schema == PAGE_REGION_SCHEMA
     docs = small_corpus["documents"]
-    out = process_shard(docs, stream, engine)
-    assert out.equals(process_shard(docs, None, engine))
+    out = process_shard([(docs, stream)], engine)
+    assert out.equals(process_shard([(docs, None)], engine))
     rows = out.to_pylist()
     assert sum(r["n_errors"] for r in rows) > 0
     for r in rows:  # every media span (it keeps its media_ref) is an error
@@ -466,8 +467,8 @@ def test_corrupt_page_in_stream_raises_like_whole_read(small_corpus, tmp_path,
         pq.read_table(path, columns=PAGE_COLUMNS)
     docs_file = _write(tmp_path, "docs.parquet", small_corpus["documents"])
     with pytest.raises(OSError):
-        process_shard(*load_shard({"shard": "s", "docs_file": docs_file,
-                                   "pages_file": path}), MockBarcodeOcr())
+        process_shard([load_shard({"shard": "s", "docs_file": docs_file,
+                                   "pages_file": path})], MockBarcodeOcr())
 
 
 def test_stream_holds_the_image_column_about_once(tmp_path):
@@ -515,7 +516,7 @@ def test_stream_holds_the_image_column_about_once(tmp_path):
         pa.jemalloc_set_decay_ms(0)
         engine = MockBarcodeOcr()
         rss0 = status_kb("VmRSS:")
-        out = process_shard(*load_shard({shard!r}), engine)
+        out = process_shard([load_shard({shard!r})], engine)
         print((status_kb("VmHWM:") - rss0) / 1024, out.num_rows)
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -174,17 +174,15 @@ def test_sharded(corpus_dir, tmp_path):
     check(out, corpus_dir)
 
 
-def test_sharded_deals_shards_into_four_groups_per_cpu(corpus_dir, tmp_path):
-    # 20 shards, each with only the pages its documents reference, on the
-    # session's 4 CPUs: more shards than 4 per CPU, so they are dealt into 16
-    # groups of shards, one task each, and every document still comes out once
+@pytest.fixture(scope="module")
+def twenty_shards(corpus_dir, tmp_path_factory):
+    """The corpus as 20 shards, each with only the pages its documents
+    reference."""
     import os
-    import re
-    from collections import Counter
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
-    d = str(tmp_path / "copart")
+    d = str(tmp_path_factory.mktemp("copart20"))
     os.makedirs(f"{d}/pages")
     os.makedirs(f"{d}/documents")
     docs = pq.read_table(f"{corpus_dir}/documents")
@@ -198,13 +196,129 @@ def test_sharded_deals_shards_into_four_groups_per_cpu(corpus_dir, tmp_path):
         pq.write_table(pages.filter(pc.is_in(pages["media_ref"],
                                              pa.array(sorted(refs), pa.string()))),
                        f"{d}/pages/part-{i:04d}.parquet")
-    out = extract_sharded(d).materialize()
+    return d
+
+
+def test_sharded_deals_shards_into_four_groups_per_cpu(corpus_dir,
+                                                       twenty_shards):
+    # 20 shards on the session's 4 CPUs: more shards than 4 per CPU, so they
+    # are dealt into 16 groups of shards, one task each, and every document
+    # still comes out once
+    import re
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+    out = extract_sharded(twenty_shards).materialize()
     stats = out.stats()
     n = re.search(r"MapBatches\(fn\): (\d+) tasks executed", stats)
     assert n and int(n.group(1)) == 16, stats
     seen = Counter(out.to_pandas()["doc_id"])
-    assert set(seen) == set(ids) and set(seen.values()) == {1}
+    ids = set(pq.read_table(f"{corpus_dir}/documents")["doc_id"].to_pylist())
+    assert set(seen) == ids and set(seen.values()) == {1}
     check(out, corpus_dir)
+
+
+def test_sharded_rows_do_not_depend_on_the_grouping(twenty_shards,
+                                                    monkeypatch):
+    # 4 groups of 5 shards against 16 groups of 1-2 shards: the same rows
+    from norsk_historisk_avis_ocr_ray.pipelines import sharded
+
+    monkeypatch.setattr(sharded, "GROUPS_PER_CPU", 1)
+    few = _rows(extract_sharded(twenty_shards))
+    monkeypatch.setattr(sharded, "GROUPS_PER_CPU", 4)
+    assert _rows(extract_sharded(twenty_shards)) == few
+
+
+def _write_shard(d, name, docs, pages=None):
+    import pyarrow.parquet as pq
+    docs_file = str(d / f"{name}-docs.parquet")
+    pq.write_table(docs, docs_file)
+    pages_file = ""
+    if pages is not None:
+        pages_file = str(d / f"{name}-pages.parquet")
+        pq.write_table(pages, pages_file)
+    return {"shard": name, "docs_file": docs_file, "pages_file": pages_file}
+
+
+def test_shard_group_equals_its_shards_one_by_one(tmp_path):
+    # one group whose shards break the partitioning assumption: its rows
+    # must be each shard's own rows, in group order
+    import pyarrow.compute as pc
+    from norsk_historisk_avis_ocr_ray.pipelines.sharded import (
+        _shard_task_fn, load_shard, process_shard)
+    from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA
+    from norsk_historisk_avis_ocr_ray.stages.ocr import MockBarcodeOcr
+    from norsk_historisk_avis_ocr_ray.synth.corpus import make_corpus
+
+    corpus = make_corpus(12, seed=3)
+    docs, pages = corpus["documents"], corpus["pages"]
+    refs = pages["media_ref"].to_pylist()
+
+    def pages_of(names):
+        return pages.filter(pc.is_in(pages["media_ref"], pa.array(names)))
+
+    # a: the first rows, and the pages of the first eight refs
+    a_docs = docs.slice(0, 6)
+    # b: the other rows with an extra column, plus a's last doc_id (so the
+    # two sort next to each other) and a doc with no spans. b's page under
+    # a's first ref has other pixels, and b names pages (of a's eight) that
+    # only a holds.
+    b_rows = docs.slice(6).to_pylist() + [
+        {"doc_id": "doc-000004", "spans": [
+            {"kind": "media", "text": "", "media_ref": refs[0], "offset": 0}]},
+        {"doc_id": "e-empty", "spans": []}]
+    b_docs = pa.Table.from_pylist(b_rows, schema=DOCUMENTS_SCHEMA)
+    b_docs = b_docs.append_column("note", pa.array(["x"] * b_docs.num_rows))
+    twin = pages_of([refs[-1]])
+    twin = twin.set_column(0, "media_ref", pa.array([refs[0]]))
+    b_pages = pa.concat_tables([pages_of(refs[8:-1]), twin])
+    # c: no docs rows; d: span fields in another order and int64 offsets,
+    # naming a page of b
+    c_docs = docs.slice(0, 0)
+    d_docs = pa.Table.from_pylist([{"doc_id": "d-other-order", "spans": [
+        {"offset": 0, "media_ref": "", "text": "og fodt", "kind": "text"},
+        {"offset": 1, "media_ref": refs[8], "text": "", "kind": "media"}]}])
+    shards = [_write_shard(tmp_path, "a", a_docs, pages_of(refs[:8])),
+              _write_shard(tmp_path, "b", b_docs, b_pages),
+              _write_shard(tmp_path, "c", c_docs, pages_of(refs[:1])),
+              _write_shard(tmp_path, "d", d_docs)]
+
+    engine = MockBarcodeOcr()
+    want = pa.concat_tables([process_shard([load_shard(s)], engine)
+                             for s in shards])
+    got = _shard_task_fn(MockBarcodeOcr, True, True)(
+        pa.Table.from_pylist(shards))
+    assert got.to_pylist() == want.to_pylist()
+
+    rows = got.to_pylist()
+    twice = [r for r in rows if r["doc_id"] == "doc-000004"]
+    assert len(twice) == 2 and twice[0]["spans"] != twice[1]["spans"]
+    # a's doc-000000 and b's doc-000004 name the same ref, each its own page
+    first = next(r for r in rows if r["doc_id"] == "doc-000000")
+    assert first["n_errors"] == twice[1]["n_errors"] == 0
+    assert first["combined"] != twice[1]["combined"]
+    # b's doc-000005 names four pages that only a holds
+    missing = [r for r in rows if r["doc_id"] == "doc-000005"]
+    assert [r["n_errors"] for r in missing] == [4]
+    empty = next(r for r in rows if r["doc_id"] == "e-empty")
+    assert empty["spans"] == [] and empty["n_errors"] == 0
+    other = rows[-1]
+    assert other["doc_id"] == "d-other-order" and other["n_errors"] == 1
+    assert other["transcribed"] == "og født"
+
+
+def test_truncated_docs_file_raises_arrow_invalid(tmp_path):
+    import pyarrow.parquet as pq
+    from norsk_historisk_avis_ocr_ray.pipelines.sharded import load_shard
+    from norsk_historisk_avis_ocr_ray.synth.corpus import make_corpus
+
+    shard = _write_shard(tmp_path, "s", make_corpus(8, seed=1)["documents"])
+    with open(shard["docs_file"], "r+b") as f:
+        f.truncate(100)
+    with pytest.raises(pa.ArrowInvalid):
+        pq.read_table(shard["docs_file"])
+    with pytest.raises(pa.ArrowInvalid):
+        load_shard(shard)
 
 
 def _copart(corpus_dir, d, docs):
