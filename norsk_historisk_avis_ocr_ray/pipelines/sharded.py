@@ -15,11 +15,13 @@ other groups fill the idle cores).
 A task loads its group's shards one at a time (``load_shard``: the docs
 read and the pages stream) and ``process_shard`` runs each shard's pages
 through the page kernel in turn. The span stages — explode → resolve →
-clean → repack → correct — then run **once over the whole group**, keyed
-by ``part``, each shard's int32 ordinal in its group: resolve joins on
-``(part, media_ref)`` and repack segments on ``(part, doc_id)``, so the
-output is the concatenation of the per-shard outputs, row for row, for any
-grouping. The fixed cost of each stage's Arrow calls is paid per group.
+clean → repack → correct — then run **once over a run of consecutive
+shards** (the whole group, unless its text passes ``SPAN_PASS_BYTES``),
+keyed by ``schema.PART``, each shard's int32 ordinal in its run: resolve
+joins on ``(PART, media_ref)`` and repack segments on ``(PART, doc_id)``,
+so the output is the concatenation of the per-shard outputs, row for row,
+for any grouping. The fixed cost of each stage's Arrow calls is paid per
+run, not per shard.
 
 Partitioning assumption (documented per the operator contract): all spans of
 a ``doc_id`` and all pages they reference are inside the shard. Inputs that
@@ -40,7 +42,7 @@ decompressed data page.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -49,7 +51,7 @@ import pyarrow.parquet as pq
 
 from ..functions.scale import cluster_cpus
 from ..functions.textops import clean_batch
-from ..schema import DOCUMENTS_SCHEMA, SPAN_STRUCT
+from ..schema import DOCUMENTS_SCHEMA, PART, SPAN_STRUCT
 from ..stages.correct import CorrectorStage
 from ..stages.explode import explode_spans
 from ..stages.ocr import (PAGE_COLUMNS, MockBarcodeOcr, cached_engine,
@@ -75,6 +77,15 @@ GROUPS_PER_CPU = 4
 # 1 / 2 / 4 pages a batch. A batch costs ~0.35 ms (1-CPU host), which 2 MiB
 # batches of ~50 raw-zlib pages (40 KB each) make negligible.
 PAGE_BATCH_BYTES = 2 << 20
+
+# Input text per span pass: a group's shards run through the span stages in
+# consecutive runs whose documents and page regions hold at most this many
+# Arrow bytes (a shard larger than that is a run of its own). Each stage
+# builds its string and list arrays over the whole run, with int32 offsets,
+# so a run's text must stay far below 2 GiB, and the run's intermediate
+# tables are all held at once (a few times its input). A text-only shard
+# of the benchmark's corpus is ~40 KB, so any group of those is one run.
+SPAN_PASS_BYTES = 64 << 20
 
 
 def list_shards(corpus_dir: str) -> list[dict]:
@@ -163,7 +174,7 @@ def load_shard(shard: dict) -> tuple[pa.Table, PageStream | None]:
 
 
 def process_shard(
-    shards: Sequence[tuple[pa.Table,
+    shards: Iterable[tuple[pa.Table,
                            pa.Table | Iterable[pa.RecordBatch] | None]],
     engine: Any,
     correction: bool = True,
@@ -172,22 +183,41 @@ def process_shard(
     """The full extraction for a group of co-partitioned shards, in process;
     one shard is a group of one. Each entry is a shard's documents and its
     pages: a table, a stream of record batches (``load_shard``'s
-    ``PageStream``) or None.
+    ``PageStream``) or None. ``shards`` is consumed lazily, one entry at a
+    time.
 
     Each shard's pages are consumed once, by ``ocr_pages``, one shard after
-    the other. The span stages then run once over the group, every row
-    keyed by its shard's position in ``shards`` (``part``). The output is
-    the concatenation of what each shard alone gives, in ``shards`` order."""
-    docs, page_regions = [], []
-    for part, (shard_docs, pages) in enumerate(shards):
-        docs.append(_with_part(_span_docs(shard_docs), part))
-        if pages is not None:
-            page_regions.append(_with_part(ocr_pages(pages, engine), part))
+    the other. The span stages then run once over each run of consecutive
+    shards whose documents and page regions stay within
+    ``SPAN_PASS_BYTES``, every row keyed by its shard's position in the run
+    (``schema.PART``). The output is the concatenation of what each shard
+    alone gives, in ``shards`` order."""
+    corrector = CorrectorStage(enabled=correction, emit_diff=emit_diff)
+    outs, run, run_bytes = [], [], 0
+    for shard_docs, pages in shards:
+        docs = _span_docs(shard_docs)
+        regions = None if pages is None else ocr_pages(pages, engine)
+        nbytes = docs.nbytes + (0 if regions is None else regions.nbytes)
+        if run and run_bytes + nbytes > SPAN_PASS_BYTES:
+            outs.append(_span_pass(run, corrector))
+            run, run_bytes = [], 0
+        run.append((docs, regions))
+        run_bytes += nbytes
+    outs.append(_span_pass(run, corrector))
+    return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+
+
+def _span_pass(run: list[tuple[pa.Table, pa.Table | None]],
+               corrector: CorrectorStage) -> pa.Table:
+    """explode → resolve → clean → repack → correct, once over a run of
+    shards' documents and page regions (None: the shard has no pages)."""
+    docs = [_with_part(d, part) for part, (d, _) in enumerate(run)]
+    regions = [_with_part(r, part) for part, (_, r) in enumerate(run)
+               if r is not None]
     spans = explode_spans(pa.concat_tables(docs))
     regions = clean_batch(resolve_spans(
-        spans, pa.concat_tables(page_regions) if page_regions else None))
-    repacked = repack_table(regions)
-    return CorrectorStage(enabled=correction, emit_diff=emit_diff)(repacked)
+        spans, pa.concat_tables(regions) if regions else None))
+    return corrector(repack_table(regions))
 
 
 def _span_docs(docs: pa.Table) -> pa.Table:
@@ -211,7 +241,7 @@ def _span_docs(docs: pa.Table) -> pa.Table:
 
 
 def _with_part(t: pa.Table, part: int) -> pa.Table:
-    return t.append_column("part",
+    return t.append_column(PART,
                            pa.array(np.full(t.num_rows, part, np.int32)))
 
 
@@ -219,7 +249,7 @@ def _shard_task_fn(engine_factory: Callable[[], Any], correction: bool,
                    emit_diff: bool):
     def fn(batch: pa.Table) -> pa.Table:
         engine = cached_engine(engine_factory)
-        shards = [load_shard(shard) for shard in batch.to_pylist()]
+        shards = (load_shard(shard) for shard in batch.to_pylist())
         return process_shard(shards, engine, correction=correction,
                              emit_diff=emit_diff)
     return fn

@@ -28,6 +28,13 @@ DOCUMENTS_SCHEMA = pa.schema(
     ]
 )
 
+# The int32 shard ordinal that leads the rows of a group of shards
+# (``pipelines.sharded``): ``explode_spans`` carries it, ``resolve_spans``
+# joins on it and ``repack_table`` segments on it. A reserved name, so a
+# caller's own column (a hive ``part=`` directory, a newspaper's part
+# number) never switches the span stages to keyed rows.
+PART = "__part"
+
 # Media side table (resolved via spans.media_ref). Images are stored as a raw
 # zlib-compressed grayscale byte buffer + dimensions — a deterministic codec
 # that needs no external imaging library; PNG/JPEG codecs can be plugged in

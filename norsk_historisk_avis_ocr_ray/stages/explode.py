@@ -6,8 +6,8 @@ list position, ``tesseract_engine.py:158-178``). Documents with an empty/null
 span list emit a single ``kind='empty'`` sentinel row so they survive the
 round trip and repack to an empty span list.
 
-An int32 ``part`` column, when the input has one (the shard ordinal of a
-group of shards, ``pipelines.sharded``), leads every output row; the
+An int32 ``schema.PART`` column, when the input has one (the shard ordinal
+of a group of shards, ``pipelines.sharded``), leads every output row; the
 dataflow path has none and its rows are ``EXPLODED_SCHEMA`` exactly.
 
 Pure Arrow kernels (``list_parent_indices`` / ``list_flatten`` /
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..schema import PART
 
 EXPLODED_SCHEMA = pa.schema([
     pa.field("doc_id", pa.string()),
@@ -31,10 +33,10 @@ EXPLODED_SCHEMA = pa.schema([
 def explode_spans(tbl: pa.Table) -> pa.Table:
     doc_ids = tbl.column("doc_id").combine_chunks()
     spans = tbl.column("spans").combine_chunks()
-    keyed = "part" in tbl.column_names
-    schema = (EXPLODED_SCHEMA.insert(0, pa.field("part", pa.int32())) if keyed
+    keyed = PART in tbl.column_names
+    schema = (EXPLODED_SCHEMA.insert(0, pa.field(PART, pa.int32())) if keyed
               else EXPLODED_SCHEMA)
-    parts = tbl.column("part").combine_chunks() if keyed else None
+    parts = tbl.column(PART).combine_chunks() if keyed else None
 
     parent = pc.list_parent_indices(spans)
     flat = pc.list_flatten(spans)

@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray import cloudpickle
 
+from ..schema import PART
 from ..sources.codec import decode_with_band_profiles
 from ..synth import barcode
 from .layout import DARK_THRESHOLD, split_columns
@@ -226,11 +227,11 @@ REGION_COLS = ["doc_id", "in_offset", "region_idx", "kind", "text",
 
 
 def _region_table(t: pa.Table, columns: list) -> pa.Table:
-    """``REGION_COLS`` rows from ``columns``, led by ``t``'s ``part`` column
+    """``REGION_COLS`` rows from ``columns``, led by ``t``'s ``PART`` column
     when it has one (span rows of a group of shards)."""
-    if "part" in t.column_names:
-        return pa.Table.from_arrays([t["part"], *columns],
-                                    names=["part", *REGION_COLS])
+    if PART in t.column_names:
+        return pa.Table.from_arrays([t[PART], *columns],
+                                    names=[PART, *REGION_COLS])
     return pa.Table.from_arrays(columns, names=REGION_COLS)
 
 
@@ -274,18 +275,18 @@ def passthrough_spans(t: pa.Table) -> pa.Table:
 
 def resolve_spans(spans: pa.Table, page_regions: pa.Table | None = None) -> pa.Table:
     """Exploded span rows + ``ocr_pages`` output → region rows, in process:
-    a local left join of the media spans on ``media_ref``, or on ``(part,
-    media_ref)`` when the spans carry a ``part`` column (a group of shards,
-    whose page regions then carry it too): each shard's spans resolve
+    a local left join of the media spans on ``media_ref``, or on ``(PART,
+    media_ref)`` when the spans carry a ``schema.PART`` column (a group of
+    shards, whose page regions then carry it too): each shard's spans resolve
     against that shard's pages only. With no page regions every media span
     is ``MissingMedia``."""
-    keyed = "part" in spans.column_names
-    keys = ["part", "media_ref"] if keyed else ["media_ref"]
+    keyed = PART in spans.column_names
+    keys = [PART, "media_ref"] if keyed else ["media_ref"]
     if page_regions is None:
         page_regions = PAGE_REGION_SCHEMA.empty_table()
         if keyed:
             page_regions = page_regions.add_column(
-                0, "part", pa.array([], pa.int32()))
+                0, PART, pa.array([], pa.int32()))
     is_media = pc.equal(spans["kind"], "media")
     media = spans.filter(is_media).select([*keys, "doc_id", "in_offset"])
     # one task per worker CPU already: no Arrow thread pool for the join

@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import SPAN_STRUCT
+from ..schema import PART, SPAN_STRUCT
 
 REPACKED_SCHEMA = pa.schema([
     pa.field("doc_id", pa.string()),
@@ -51,32 +51,32 @@ def repack_table(tbl: pa.Table) -> pa.Table:
     all rows of a doc must be present — the caller guarantees co-location,
     either via groupby(doc_id) or shard-local processing).
 
-    Rows with an int32 ``part`` column (a group of shards,
-    ``pipelines.sharded``) are sorted and segmented on ``(part, doc_id)``,
+    Rows with an int32 ``schema.PART`` column (a group of shards,
+    ``pipelines.sharded``) are sorted and segmented on ``(PART, doc_id)``,
     and the column is dropped: the output is each part's repacked rows in
-    ``part`` order, so a doc_id in two parts gives two rows.
+    part order, so a doc_id in two parts gives two rows.
 
     Fully vectorized: one Arrow sort, numpy boundary masks, and
     ``ListArray.from_arrays`` over per-doc offset boundaries — no per-row
     Python in the engine's hottest wide-stage loop."""
     if tbl.num_rows == 0:
         return REPACKED_SCHEMA.empty_table()
-    keyed = "part" in tbl.column_names
-    keys = (["part"] if keyed else []) + ["doc_id", "in_offset", "region_idx"]
+    keyed = PART in tbl.column_names
+    keys = ([PART] if keyed else []) + ["doc_id", "in_offset", "region_idx"]
     tbl = tbl.sort_by([(k, "ascending") for k in keys]).combine_chunks()
 
     doc_np = tbl["doc_id"].to_numpy(zero_copy_only=False)
     io_np = tbl["in_offset"].to_numpy(zero_copy_only=False)
     ri_np = tbl["region_idx"].to_numpy(zero_copy_only=False)
     n = len(doc_np)
-    # a new document starts where (part, doc_id) changes
+    # a new document starts where (PART, doc_id) changes
     new_doc = np.ones(n, dtype=bool)
     new_doc[1:] = doc_np[1:] != doc_np[:-1]
     if keyed:
-        part_np = tbl["part"].to_numpy()
+        part_np = tbl[PART].to_numpy()
         new_doc[1:] |= part_np[1:] != part_np[:-1]
 
-    # Keep-first dedup of exact (part, doc_id, in_offset, region_idx)
+    # Keep-first dedup of exact (PART, doc_id, in_offset, region_idx)
     # duplicates.
     keep = new_doc.copy()
     keep[1:] |= (io_np[1:] != io_np[:-1]) | (ri_np[1:] != ri_np[:-1])

@@ -3,16 +3,12 @@ the pipe regexes on every line, and ``difflib.SequenceMatcher`` for every
 word diff. ``functions.textops`` skips both where the result is provably the
 same; the tests compare it with these. The same goes for the normalizer's
 token walk: ``stages.correct`` splits on newlines and then spaces through
-one word map, the copy here on spaces and then newlines with a cache."""
+one word map, the copy here on spaces and then newlines."""
 
 import difflib
 import re
 
-from norsk_historisk_avis_ocr_ray.stages.correct import (
-    _PUNCT,
-    CONFUSION_PAIRS,
-    LEXICON,
-)
+from norsk_historisk_avis_ocr_ray.stages.correct import NorwegianNormalizer
 
 _TRAIL_PIPE = re.compile(r"\s*\|.{0,3}$")
 _LEAD_PIPE = re.compile(r"^.{0,3}\|\s*")
@@ -75,46 +71,9 @@ def difflib_readable_diff(before: str, after: str) -> str:
     return header + "\n".join(f"  {i + 1}. {c}" for i, c in enumerate(changes))
 
 
-class SplitTwiceNormalizer:
-    """The dictionary normalizer as a cache miss per word and a split on
-    spaces, then on newlines inside each space-separated part."""
-
-    def __init__(self, lexicon=LEXICON, pairs=None):
-        self.lexicon = lexicon
-        self.pairs = pairs if pairs is not None else CONFUSION_PAIRS
-        self._cache = {}
-
-    def correct_word(self, word):
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        core = word.strip(_PUNCT)
-        out = word
-        if core and core.lower() not in self.lexicon:
-            fixed = self._fix_core(core)
-            if fixed is not None:
-                i = word.find(core)
-                out = word[:i] + fixed + word[i + len(core):]
-        self._cache[word] = out
-        return out
-
-    def _fix_core(self, core):
-        low = core.lower()
-        for err, fix in self.pairs:
-            start = 0
-            while True:
-                i = low.find(err, start)
-                if i < 0:
-                    break
-                cand = core[:i] + fix + core[i + len(err):]
-                if cand.lower() in self.lexicon:
-                    return cand
-                start = i + 1
-            if err in low:
-                cand = low.replace(err, fix)
-                if cand in self.lexicon:
-                    return core.lower().replace(err, fix)
-        return None
+class SplitTwiceNormalizer(NorwegianNormalizer):
+    """The dictionary normalizer's token walk as a split on spaces, then on
+    newlines inside each space-separated part."""
 
     def correct(self, text):
         if not text:

@@ -307,6 +307,44 @@ def test_shard_group_equals_its_shards_one_by_one(tmp_path):
     assert other["transcribed"] == "og født"
 
 
+def test_span_pass_size_cap_keeps_the_rows(tmp_path, monkeypatch):
+    # a group runs through the span stages in runs of consecutive shards
+    # under SPAN_PASS_BYTES; any cap gives the same rows
+    from norsk_historisk_avis_ocr_ray.pipelines import sharded
+    from norsk_historisk_avis_ocr_ray.schema import PART
+    from norsk_historisk_avis_ocr_ray.stages.ocr import MockBarcodeOcr
+    from norsk_historisk_avis_ocr_ray.synth.corpus import make_corpus
+
+    corpus = make_corpus(16, seed=5)
+    docs, pages = corpus["documents"], corpus["pages"]
+    # neighbouring shards share two doc_ids and every shard holds every
+    # page: rows that a misplaced run boundary would merge or resolve
+    # against another shard's page
+    shards = [_write_shard(tmp_path, name, docs.slice(i * 4, 6), pages)
+              for i, name in enumerate("abc")]
+    engine = MockBarcodeOcr()
+    sizes = [sharded._span_docs(d).nbytes + sharded.ocr_pages(p, engine).nbytes
+             for d, p in map(sharded.load_shard, shards)]
+    runs = []
+    explode = sharded.explode_spans
+
+    def counting_explode(t):
+        runs.append(max(t[PART].to_pylist()) + 1)
+        return explode(t)
+
+    monkeypatch.setattr(sharded, "explode_spans", counting_explode)
+    body = sharded._shard_task_fn(MockBarcodeOcr, True, True)
+    group = pa.Table.from_pylist(shards)
+    want = pa.concat_tables([sharded.process_shard([sharded.load_shard(s)],
+                                                   engine) for s in shards])
+    for cap, n_runs in ((sharded.SPAN_PASS_BYTES, [3]),
+                        (sizes[0] + sizes[1], [2, 1]), (1, [1, 1, 1])):
+        monkeypatch.setattr(sharded, "SPAN_PASS_BYTES", cap)
+        runs.clear()
+        assert body(group).to_pylist() == want.to_pylist()
+        assert runs == n_runs
+
+
 def test_truncated_docs_file_raises_arrow_invalid(tmp_path):
     import pyarrow.parquet as pq
     from norsk_historisk_avis_ocr_ray.pipelines.sharded import load_shard
@@ -384,6 +422,23 @@ def test_missing_page_is_a_row_error_on_every_path(corpus_dir, tmp_path):
                  _rows(extract(ray.data.from_arrow(docs), None))):
         assert rows[0]["n_errors"] == 1
         assert [s["text"] for s in rows[0]["spans"]] == ["", "kept"]
+
+
+def test_docs_part_column_is_ignored_by_the_dataflow(corpus_dir):
+    # a caller's own `part` column (a hive part= directory, a newspaper's
+    # part number) rides through the span stages unread, whatever its type
+    import pyarrow.parquet as pq
+
+    docs = pq.read_table(f"{corpus_dir}/documents").select(["doc_id", "spans"])
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet")
+    n = docs.num_rows
+    for with_pages in (pages, None):
+        want = _rows(extract(ray.data.from_arrow(docs), with_pages))
+        for part in (pa.array([i % 3 for i in range(n)], pa.int32()),
+                     pa.array(["x"] * n)):
+            got = _rows(extract(ray.data.from_arrow(
+                docs.append_column("part", part)), with_pages))
+            assert got == want
 
 
 def test_unknown_media_resolution_raises(corpus_dir):
