@@ -11,16 +11,19 @@ Dataset-level composition (SURVEY.md §3.4):
            pages=None   map_batches(resolve_spans)     text-only: no OCR, a
                                                        media span is MissingMedia
            pages given  pages ─ map_batches(LayoutOcrStage(engine_factory))
-                        media spans ─ join(on media_ref) ─ finalize_media
-                        other spans ─ passthrough_spans ─ union
+                        spans ∪ page regions ─ map_batches(_bucket_media)
+                        └─ groupby(bucket).map_groups(_resolve_bucket)
+                                                       resolve_spans per bucket
       └─ map_batches(clean_batch)                      stateless T1 cleanup
-      └─ groupby(rbucket).map_groups(repack)           THE one shuffle (text-only)
+      └─ map_batches(_bucket_docs)
+      └─ groupby(bucket).map_groups(_repack_bucket)    reading-order repack
       └─ map_batches(correct_batch)                    normalizer
 
-Every operator is a task operator. With pages, OCR is driven by the *pages*
-dataset: each page's bytes go from its read task to one OCR task and are
-never broadcast, looked up or shuffled; the all-to-alls (join + groupby)
-move text only.
+Every operator is a task operator, and both wide steps are the same sort
+shuffle on a blake2b bucket (``_with_bucket``). With pages, OCR is driven
+by the *pages* dataset: each page's bytes go from its read task to one OCR
+task and are never broadcast, looked up or shuffled; the shuffles move
+text only.
 """
 
 from __future__ import annotations
@@ -38,11 +41,15 @@ from ray.data import Dataset
 from ..functions import scale
 from ..functions.textops import clean_batch
 from ..stages.correct import correct_batch
-from ..stages.explode import explode_spans
+from ..stages.explode import EXPLODED_SCHEMA, explode_spans
 from ..stages.ocr import (PAGE_COLUMNS, PAGE_REGION_SCHEMA, LayoutOcrStage,
-                          MockBarcodeOcr, finalize_media, passthrough_spans,
-                          resolve_spans)
+                          MockBarcodeOcr, resolve_spans)
 from ..stages.repack import repack_table
+
+BUCKET = "bucket"
+# the rows of the media shuffle: a span or a page region, each with the
+# other kind's columns null; a page region is the row with a region_idx
+_MEDIA_ROWS = pa.unify_schemas([EXPLODED_SCHEMA, PAGE_REGION_SCHEMA])
 
 
 def extract(
@@ -62,9 +69,11 @@ def extract(
     pages: a parquet path (file or directory), a pyarrow Table or a Dataset
     with ``media_ref, image, width, height, codec``; None for text-only
     input. Text-only input maps spans straight to regions (no OCR stage; a
-    media span becomes a ``MissingMedia`` error row). With pages, media spans
-    are resolved by a join on ``media_ref`` against the page kernel's region
-    rows.
+    media span becomes a ``MissingMedia`` error row). With pages, the span
+    stream and the page kernel's region rows are shuffled together: a media
+    span or a page region by its ``media_ref``, any other span by its
+    ``doc_id``. Each bucket then runs ``resolve_spans``, the join the
+    sharded path runs per shard group.
 
     Every stage runs as Ray tasks: OCR is ``LayoutOcrStage(engine_factory)``
     with one engine per worker process (``stages.ocr.cached_engine``), the
@@ -74,17 +83,16 @@ def extract(
     ocr_concurrency, ocr_batch_size, media_resolution: ignored; kept because
     the dataflow pass of ``perfbench/session.py`` still passes them.
     ``media_resolution`` other than 'auto' or 'dataflow' is a ``ValueError``.
-
-    The join path consumes the exploded span stream in two branches (media
-    spans → join; other spans → passthrough), and a lazy Dataset re-executes
-    its plan per consumer: each branch recomputes the read + explode rather
-    than pinning the corpus-sized span stream in the object store, as
-    ``materialize()`` would.
     """
     if media_resolution not in ("auto", "dataflow"):
         raise ValueError(f"unknown media_resolution {media_resolution!r}; "
                          "expected 'auto' or 'dataflow'")
 
+    # groupby(doc_id) pays ~0.4 ms of per-group Python per document (13 s
+    # at 32.5k docs — see functions/combine.py), and resolve_spans and
+    # repack_table are vectorized over many keys: so both shuffles group on
+    # a bounded bucket of their key instead
+    n_buckets = max(64, scale.read_blocks(2.0))
     exploded = docs.map_batches(explode_spans, batch_format="pyarrow")
 
     if pages is None:
@@ -103,60 +111,24 @@ def extract(
         # the read's blocks further, and it does split them when the pages
         # come in fewer files than the read's target block count: page bytes
         # then cross the object store once, read → OCR. Only text leaves the
-        # OCR tasks. Each side of the join starts with an all-null row, an
-        # input block that is ready before any task ends, so the join's first
-        # block on either side is never empty, even when no page or no
-        # document has rows.
-        media_texts = ray.data.from_arrow(_null_row(PAGE_REGION_SCHEMA)).union(
-            pages_ds.map_batches(LayoutOcrStage(engine_factory),
-                                 batch_format="pyarrow", batch_size=None))
-        docs_schema = docs.schema()
-        doc_id_type = docs_schema.types[docs_schema.names.index("doc_id")]
-        media_spans = ray.data.from_arrow(_null_row(pa.schema([
-            ("doc_id", doc_id_type), ("in_offset", pa.int32()),
-            ("media_ref", pa.string())]))).union(
-            exploded.map_batches(_media_keys, batch_format="pyarrow"))
-        # The join moves text only, so its aggregators reserve no CPU: Ray's
-        # default of up to half the session's CPUs starves the read → OCR
-        # tasks on a small or busy session and the executor stalls.
-        joined = (media_spans
-                  .join(media_texts, join_type="left_outer",
-                        num_partitions=scale.join_partitions(),
-                        on=("media_ref",),
-                        aggregator_ray_remote_args={
-                            "num_cpus": 0, "scheduling_strategy": "SPREAD"})
-                  .filter(expr="is_valid(doc_id)")
-                  .map_batches(finalize_media, batch_format="pyarrow"))
-        rest = exploded.filter(expr="kind != 'media'").map_batches(
-            passthrough_spans, batch_format="pyarrow")
-        regions = joined.union(rest)
+        # OCR tasks. Rows are bucketed after the union, one block at a time,
+        # so that no map fuses into the OCR operator and its line in
+        # ds.stats() keeps its own task count; Ray logs once that the
+        # union's two inputs differ in schema.
+        page_regions = pages_ds.map_batches(LayoutOcrStage(engine_factory),
+                                            batch_format="pyarrow",
+                                            batch_size=None)
+        regions = (exploded.union(page_regions)
+                   .map_batches(partial(_bucket_media, n=n_buckets),
+                                batch_format="pyarrow", batch_size=None)
+                   .groupby(BUCKET)
+                   .map_groups(_resolve_bucket, batch_format="pyarrow"))
 
-    cleaned = regions.map_batches(clean_batch, batch_format="pyarrow")
-
-    # BUCKETED repack: groupby(doc_id) pays ~0.4 ms of per-group Python per
-    # document (13 s at this corpus's 32.5k docs — see functions/combine.py);
-    # repack_table is already multi-doc vectorized, so shuffle on a bounded
-    # blake2b bucket of doc_id instead — many docs per group call, identical
-    # output (bucket is a pure function of doc_id, co-location preserved).
-    n_rbuckets = max(64, scale.read_blocks(2.0))
-
-    def _bucket_docs(t: pa.Table) -> pa.Table:
-        from ..functions.dedup import _hash64
-
-        cache: dict = {}
-        ids = t["doc_id"].to_pylist()
-        b = np.fromiter(
-            (cache.get(d) if d in cache
-             else cache.setdefault(d, _hash64(d) % n_rbuckets)
-             for d in ids), np.int64, len(ids))
-        return t.append_column("rbucket", pa.array(b))
-
-    def _repack_bucket(g: pa.Table) -> pa.Table:
-        return repack_table(g.drop_columns(["rbucket"]))
-
-    repacked = (cleaned.map_batches(_bucket_docs, batch_format="pyarrow")
-                       .groupby("rbucket")
-                       .map_groups(_repack_bucket, batch_format="pyarrow"))
+    repacked = (regions.map_batches(clean_batch, batch_format="pyarrow")
+                .map_batches(partial(_bucket_docs, n=n_buckets),
+                             batch_format="pyarrow")
+                .groupby(BUCKET)
+                .map_groups(_repack_bucket, batch_format="pyarrow"))
     return repacked.map_batches(
         partial(correct_batch, enabled=correction, emit_diff=emit_diff),
         batch_format="pyarrow", batch_size=256)
@@ -168,20 +140,44 @@ def _slices(t: pa.Table, n: int) -> list[pa.Table]:
     return [t.slice(i, step) for i in range(0, max(1, t.num_rows), step)]
 
 
-def _one_row_if_empty(t: pa.Table) -> pa.Table:
-    """``t``, or one all-null row if it has none: Ray's hash join learns
-    each side's schema from the first block it shuffles and fails if that
-    block is empty. Null keys match nothing; the left side's null rows are
-    dropped after the join by ``is_valid(doc_id)``."""
-    return t if t.num_rows else _null_row(t.schema)
+def _with_bucket(t: pa.Table, keys: pa.ChunkedArray, n: int) -> pa.Table:
+    """``t`` with a ``BUCKET`` column: the blake2b hash of each row's key
+    modulo ``n``, one hash per distinct key (a null key hashes as ``""``).
+    A bucket depends on its key alone, so the rows that meet in one do not
+    depend on how the input was split."""
+    from ..functions.dedup import _hash64  # a large module: workers only
+
+    enc = keys.combine_chunks().dictionary_encode(null_encoding="encode")
+    by_key = np.array([_hash64(k or "") % n for k in enc.dictionary.to_pylist()],
+                      np.int64)
+    return t.append_column(BUCKET, pa.array(
+        by_key[enc.indices.to_numpy(zero_copy_only=False)], pa.int64()))
 
 
-def _null_row(schema: pa.Schema) -> pa.Table:
-    return pa.Table.from_pylist([{}], schema)
+def _bucket_media(t: pa.Table, n: int) -> pa.Table:
+    """A span block or a page-region block → ``_MEDIA_ROWS`` with a bucket:
+    a media span or a page region by its ``media_ref``, any other span by
+    its ``doc_id``."""
+    rows = pa.Table.from_arrays(
+        [t[f.name] if f.name in t.column_names else pa.nulls(t.num_rows, f.type)
+         for f in _MEDIA_ROWS], schema=_MEDIA_ROWS)
+    by_ref = pc.or_(pc.is_valid(rows["region_idx"]),
+                    pc.equal(rows["kind"], "media"))
+    return _with_bucket(rows, pc.if_else(by_ref, rows["media_ref"],
+                                         rows["doc_id"]), n)
 
 
-def _media_keys(t: pa.Table) -> pa.Table:
-    """The join's left side: the media spans of a span batch."""
-    return _one_row_if_empty(t.filter(pc.equal(t["kind"], "media")).select(
-        ["doc_id", "in_offset", "media_ref"]))
+def _resolve_bucket(g: pa.Table) -> pa.Table:
+    """One bucket's spans resolved against its page regions."""
+    is_page = pc.is_valid(g["region_idx"])
+    return resolve_spans(
+        g.filter(pc.invert(is_page)).select(EXPLODED_SCHEMA.names),
+        g.filter(is_page).select(PAGE_REGION_SCHEMA.names))
 
+
+def _bucket_docs(t: pa.Table, n: int) -> pa.Table:
+    return _with_bucket(t, t["doc_id"], n)
+
+
+def _repack_bucket(g: pa.Table) -> pa.Table:
+    return repack_table(g.drop_columns([BUCKET]))

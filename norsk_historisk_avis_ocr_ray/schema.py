@@ -51,33 +51,3 @@ PAGES_SCHEMA = pa.schema(
         pa.field("dpi", pa.int32()),
     ]
 )
-
-# Exploded per-region rows flowing between the layout and OCR stages.
-REGION_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.string()),
-        pa.field("in_offset", pa.int32()),    # offset of the originating input span
-        pa.field("region_idx", pa.int32()),   # 0 = header/passthrough text, 1..k = columns left→right
-        pa.field("kind", pa.string()),        # 'text' | 'empty'
-        pa.field("text", pa.string()),
-        pa.field("media_ref", pa.string()),
-        pa.field("image", pa.binary()),       # region crop (raw-zlib) — projected away right after OCR
-        pa.field("crop_width", pa.int32()),
-        pa.field("crop_height", pa.int32()),
-    ]
-)
-
-OUTPUT_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.string()),
-        pa.field("spans", pa.list_(SPAN_STRUCT)),
-        pa.field("combined", pa.string()),
-        pa.field("transcribed", pa.string()),
-        pa.field("corrected", pa.bool_()),   # whether the correction pass changed/produced transcribed
-        pa.field("diff", pa.string()),       # human-readable correction diff (audit column)
-    ]
-)
-
-
-def empty_table(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()

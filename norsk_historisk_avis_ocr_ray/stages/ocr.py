@@ -235,7 +235,7 @@ def _region_table(t: pa.Table, columns: list) -> pa.Table:
     return pa.Table.from_arrays(columns, names=REGION_COLS)
 
 
-def finalize_media(t: pa.Table) -> pa.Table:
+def _finalize_media(t: pa.Table) -> pa.Table:
     """Media spans left-joined with page regions → region rows. A span whose
     page is missing becomes one ``MissingMedia: <ref>`` error row (empty
     text), never a job abort."""
@@ -256,7 +256,7 @@ def finalize_media(t: pa.Table) -> pa.Table:
     ])
 
 
-def passthrough_spans(t: pa.Table) -> pa.Table:
+def _passthrough_spans(t: pa.Table) -> pa.Table:
     """Non-media spans → region rows: ``empty`` sentinels stay ``empty``,
     every other kind becomes a ``text`` region with no ``media_ref``."""
     n = t.num_rows
@@ -292,8 +292,8 @@ def resolve_spans(spans: pa.Table, page_regions: pa.Table | None = None) -> pa.T
     # one task per worker CPU already: no Arrow thread pool for the join
     joined = media.join(page_regions, keys, join_type="left outer",
                         use_threads=False)
-    return pa.concat_tables([finalize_media(joined),
-                             passthrough_spans(spans.filter(pc.invert(is_media)))])
+    rest = spans.filter(pc.invert(is_media))
+    return pa.concat_tables([_finalize_media(joined), _passthrough_spans(rest)])
 
 
 register_engine(MockBarcodeOcr.name, MockBarcodeOcr)

@@ -289,8 +289,7 @@ def write_corpus_parallel(out_dir: str, n_docs: int, seed: int = 42,
                           ("pages", b.pages_table()),
                           ("golden", b.golden_table())):
             os.makedirs(os.path.join(out_dir, name), exist_ok=True)
-            pq.write_table(tbl, os.path.join(out_dir, name,
-                                             f"part-{shard:04d}.parquet"))
+            _write(tbl, os.path.join(out_dir, name, f"part-{shard:04d}.parquet"))
         return shard_docs
 
     os.makedirs(out_dir, exist_ok=True)
@@ -314,8 +313,16 @@ def write_corpus(out_dir: str, n_docs: int, seed: int = 42,
     n = docs.num_rows
     per = max(1, (n + n_doc_files - 1) // n_doc_files)
     for i in range(0, n, per):
-        pq.write_table(docs.slice(i, per),
-                       os.path.join(docs_dir, f"part-{i // per:04d}.parquet"))
+        _write(docs.slice(i, per),
+               os.path.join(docs_dir, f"part-{i // per:04d}.parquet"))
     for name in ("pages", "golden", "golden_layout"):
-        pq.write_table(tables[name], os.path.join(out_dir, f"{name}.parquet"))
+        _write(tables[name], os.path.join(out_dir, f"{name}.parquet"))
     return tables
+
+
+def _write(tbl: pa.Table, path: str) -> None:
+    """``pq.write_table`` with a dictionary on every column but the page
+    payloads: each ``image`` is unique, so a dictionary never pays for it,
+    and a reader of a column that fell back from it holds more."""
+    pq.write_table(tbl, path, use_dictionary=[c for c in tbl.column_names
+                                              if c != "image"])

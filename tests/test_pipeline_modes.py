@@ -62,6 +62,20 @@ def test_dataflow_mode(corpus_dir):
     check(out, corpus_dir)
 
 
+def test_dataflow_reads_documents_once_and_runs_no_join(corpus_dir):
+    # one explode of the documents feeds both the media resolution and the
+    # rest; the two wide steps are sort shuffles, with no hash join
+    import re
+
+    docs, pages = _docs_pages(corpus_dir)
+    stats = extract(docs, pages).materialize().stats()
+    ops = re.findall(r"^Operator \d+ (.+?): ", stats, re.M)
+    runs = [op for op in ops
+            if "explode_spans" in op and not op.startswith("UnionOperator")]
+    assert len(runs) == 1, stats
+    assert not any("Join" in op for op in ops), stats
+
+
 def test_page_ocr_batch_matches_stage(corpus_dir):
     # the Ray stage == the page kernel, for class factories and partials
     # alike — no Ray involved
@@ -405,6 +419,43 @@ def test_span_semantics_agree_across_paths(corpus_dir, tmp_path):
     assert [(s["text"], s["media_ref"]) for s in spans] == [
         ("hello", ""), ("odd kind", ""), ("no kind", "")]
     assert sharded[0]["spans"] == [] and sharded[0]["n_errors"] == 0
+
+
+def test_dataflow_media_buckets_resolve_like_sharded(corpus_dir, tmp_path):
+    # a page named by media spans of three docs, a doc whose media spans
+    # name pages of two buckets between text spans, and pages no span
+    # names: the dataflow rows are the sharded rows
+    import pyarrow.parquet as pq
+    from norsk_historisk_avis_ocr_ray.functions import scale
+    from norsk_historisk_avis_ocr_ray.pipelines.extract import (BUCKET,
+                                                                _with_bucket)
+    from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA
+
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet")
+    refs = pages["media_ref"].to_pylist()
+    buckets = _with_bucket(pages, pages["media_ref"],
+                           max(64, scale.read_blocks(2.0)))[BUCKET].to_pylist()
+    shared = refs[0]
+    other = next(r for r, b in zip(refs, buckets) if b != buckets[0])
+
+    def media(ref, offset):
+        return {"kind": "media", "text": "", "media_ref": ref, "offset": offset}
+
+    def text(t, offset):
+        return {"kind": "text", "text": t, "media_ref": "", "offset": offset}
+
+    docs = pa.Table.from_pylist(
+        [{"doc_id": f"d-shared-{i}", "spans": [media(shared, 0)]}
+         for i in range(3)]
+        + [{"doc_id": "d-two-buckets", "spans": [
+            text("før", 0), media(shared, 1), text("midt", 2),
+            media(other, 3), text("etter", 4)]}], schema=DOCUMENTS_SCHEMA)
+    d = _copart(corpus_dir, str(tmp_path / "copart"), docs)
+    sharded = _rows(extract_sharded(d))
+    assert _rows(extract(ray.data.from_arrow(docs), pages)) == sharded
+    assert [r["n_errors"] for r in sharded] == [0, 0, 0, 0]
+    assert len({r["combined"] for r in sharded[:3]}) == 1
+    assert sharded[3]["combined"].startswith("før")
 
 
 def test_missing_page_is_a_row_error_on_every_path(corpus_dir, tmp_path):

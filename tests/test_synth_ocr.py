@@ -118,3 +118,19 @@ def test_corpus_shapes():
     # spans golden offsets are sequential
     for spans in golden["spans"].to_pylist():
         assert [s["offset"] for s in spans] == list(range(len(spans)))
+
+
+def test_written_pages_have_no_image_dictionary(tmp_path):
+    # every image is unique: its column chunk is written without a
+    # dictionary page, the other page columns keep theirs, and the pages
+    # read back unchanged
+    import pyarrow.parquet as pq
+
+    tables = corpus.write_corpus(str(tmp_path), 4, seed=7, n_doc_files=1)
+    f = pq.ParquetFile(str(tmp_path / "pages.parquet"))
+    rg = f.metadata.row_group(0)
+    chunks = {rg.column(i).path_in_schema: rg.column(i)
+              for i in range(rg.num_columns)}
+    assert not chunks["image"].has_dictionary_page
+    assert chunks["media_ref"].has_dictionary_page
+    assert f.read().equals(tables["pages"])
