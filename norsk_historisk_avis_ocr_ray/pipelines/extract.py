@@ -1,7 +1,9 @@
 """The general extraction pipeline, Ray-Data-native, for inputs that are
 not co-partitioned into shards (``pipelines.sharded`` is the zero-shuffle
-path for those that are). Both share the page kernel and the span
-resolution of ``stages.ocr``.
+path for those that are). Both share the page kernel, the span resolution
+of ``stages.ocr`` and the span rows' one schema (``schema.SPAN_ROW_SCHEMA``),
+and both key on its ``PART`` column: here a row's partition is a blake2b
+bucket of its key (``_with_bucket``).
 
 Dataset-level composition (SURVEY.md §3.4):
 
@@ -12,18 +14,16 @@ Dataset-level composition (SURVEY.md §3.4):
                                                        media span is MissingMedia
            pages given  pages ─ map_batches(LayoutOcrStage(engine_factory))
                         spans ∪ page regions ─ map_batches(_bucket_media)
-                        └─ groupby(bucket).map_groups(_resolve_bucket)
-                                                       resolve_spans per bucket
+                        └─ groupby(PART).map_groups(resolve_spans)
       └─ map_batches(clean_batch)                      stateless T1 cleanup
       └─ map_batches(_bucket_docs)
-      └─ groupby(bucket).map_groups(_repack_bucket)    reading-order repack
+      └─ groupby(PART).map_groups(_repack_bucket)      reading-order repack
       └─ map_batches(correct_batch)                    normalizer
 
 Every operator is a task operator, and both wide steps are the same sort
-shuffle on a blake2b bucket (``_with_bucket``). With pages, OCR is driven
-by the *pages* dataset: each page's bytes go from its read task to one OCR
-task and are never broadcast, looked up or shuffled; the shuffles move
-text only.
+shuffle on ``PART``. With pages, OCR is driven by the *pages* dataset: each
+page's bytes go from its read task to one OCR task and are never broadcast,
+looked up or shuffled; the shuffles move text only.
 """
 
 from __future__ import annotations
@@ -40,16 +40,12 @@ from ray.data import Dataset
 
 from ..functions import scale
 from ..functions.textops import clean_batch
+from ..schema import PART
 from ..stages.correct import correct_batch
-from ..stages.explode import EXPLODED_SCHEMA, explode_spans
-from ..stages.ocr import (PAGE_COLUMNS, PAGE_REGION_SCHEMA, LayoutOcrStage,
-                          MockBarcodeOcr, resolve_spans)
+from ..stages.explode import explode_spans
+from ..stages.ocr import (PAGE_COLUMNS, LayoutOcrStage, MockBarcodeOcr,
+                          resolve_spans)
 from ..stages.repack import repack_table
-
-BUCKET = "bucket"
-# the rows of the media shuffle: a span or a page region, each with the
-# other kind's columns null; a page region is the row with a region_idx
-_MEDIA_ROWS = pa.unify_schemas([EXPLODED_SCHEMA, PAGE_REGION_SCHEMA])
 
 
 def extract(
@@ -72,8 +68,8 @@ def extract(
     media span becomes a ``MissingMedia`` error row). With pages, the span
     stream and the page kernel's region rows are shuffled together: a media
     span or a page region by its ``media_ref``, any other span by its
-    ``doc_id``. Each bucket then runs ``resolve_spans``, the join the
-    sharded path runs per shard group.
+    ``doc_id``, the bucket set as each row's ``PART``. Each bucket then
+    runs ``resolve_spans``, the join the sharded path runs per span pass.
 
     Every stage runs as Ray tasks: OCR is ``LayoutOcrStage(engine_factory)``
     with one engine per worker process (``stages.ocr.cached_engine``), the
@@ -113,21 +109,20 @@ def extract(
         # then cross the object store once, read → OCR. Only text leaves the
         # OCR tasks. Rows are bucketed after the union, one block at a time,
         # so that no map fuses into the OCR operator and its line in
-        # ds.stats() keeps its own task count; Ray logs once that the
-        # union's two inputs differ in schema.
+        # ds.stats() keeps its own task count.
         page_regions = pages_ds.map_batches(LayoutOcrStage(engine_factory),
                                             batch_format="pyarrow",
                                             batch_size=None)
         regions = (exploded.union(page_regions)
                    .map_batches(partial(_bucket_media, n=n_buckets),
                                 batch_format="pyarrow", batch_size=None)
-                   .groupby(BUCKET)
-                   .map_groups(_resolve_bucket, batch_format="pyarrow"))
+                   .groupby(PART)
+                   .map_groups(resolve_spans, batch_format="pyarrow"))
 
     repacked = (regions.map_batches(clean_batch, batch_format="pyarrow")
                 .map_batches(partial(_bucket_docs, n=n_buckets),
                              batch_format="pyarrow")
-                .groupby(BUCKET)
+                .groupby(PART)
                 .map_groups(_repack_bucket, batch_format="pyarrow"))
     return repacked.map_batches(
         partial(correct_batch, enabled=correction, emit_diff=emit_diff),
@@ -141,7 +136,7 @@ def _slices(t: pa.Table, n: int) -> list[pa.Table]:
 
 
 def _with_bucket(t: pa.Table, keys: pa.ChunkedArray, n: int) -> pa.Table:
-    """``t`` with a ``BUCKET`` column: the blake2b hash of each row's key
+    """Span rows with ``PART`` set to the blake2b hash of each row's key
     modulo ``n``, one hash per distinct key (a null key hashes as ``""``).
     A bucket depends on its key alone, so the rows that meet in one do not
     depend on how the input was split."""
@@ -149,30 +144,17 @@ def _with_bucket(t: pa.Table, keys: pa.ChunkedArray, n: int) -> pa.Table:
 
     enc = keys.combine_chunks().dictionary_encode(null_encoding="encode")
     by_key = np.array([_hash64(k or "") % n for k in enc.dictionary.to_pylist()],
-                      np.int64)
-    return t.append_column(BUCKET, pa.array(
-        by_key[enc.indices.to_numpy(zero_copy_only=False)], pa.int64()))
+                      np.int32)
+    return t.set_column(t.schema.get_field_index(PART), PART, pa.array(
+        by_key[enc.indices.to_numpy(zero_copy_only=False)]))
 
 
 def _bucket_media(t: pa.Table, n: int) -> pa.Table:
-    """A span block or a page-region block → ``_MEDIA_ROWS`` with a bucket:
-    a media span or a page region by its ``media_ref``, any other span by
-    its ``doc_id``."""
-    rows = pa.Table.from_arrays(
-        [t[f.name] if f.name in t.column_names else pa.nulls(t.num_rows, f.type)
-         for f in _MEDIA_ROWS], schema=_MEDIA_ROWS)
-    by_ref = pc.or_(pc.is_valid(rows["region_idx"]),
-                    pc.equal(rows["kind"], "media"))
-    return _with_bucket(rows, pc.if_else(by_ref, rows["media_ref"],
-                                         rows["doc_id"]), n)
-
-
-def _resolve_bucket(g: pa.Table) -> pa.Table:
-    """One bucket's spans resolved against its page regions."""
-    is_page = pc.is_valid(g["region_idx"])
-    return resolve_spans(
-        g.filter(pc.invert(is_page)).select(EXPLODED_SCHEMA.names),
-        g.filter(is_page).select(PAGE_REGION_SCHEMA.names))
+    """Span rows and page regions bucketed for the media resolution: a media
+    span or a page region by its ``media_ref``, any other span by its
+    ``doc_id``."""
+    by_ref = pc.or_(pc.is_valid(t["region_idx"]), pc.equal(t["kind"], "media"))
+    return _with_bucket(t, pc.if_else(by_ref, t["media_ref"], t["doc_id"]), n)
 
 
 def _bucket_docs(t: pa.Table, n: int) -> pa.Table:
@@ -180,4 +162,4 @@ def _bucket_docs(t: pa.Table, n: int) -> pa.Table:
 
 
 def _repack_bucket(g: pa.Table) -> pa.Table:
-    return repack_table(g.drop_columns([BUCKET]))
+    return repack_table(g)

@@ -84,8 +84,10 @@ def run_resumable(
     """Process pending shards; returns run summary. Safe to re-run."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = Manifest(os.path.join(out_dir, "manifest.jsonl"))
+    # list_shards' order, the largest pages file first: the heaviest
+    # shards start first and the last wave holds small ones
     shards = {s["shard"]: s for s in list_shards(corpus_dir)}
-    pending = manifest.pending(sorted(shards))
+    pending = manifest.pending(list(shards))
 
     done = 0
     in_flight: dict[Any, str] = {}
@@ -119,7 +121,7 @@ def run_resumable(
             for r in in_flight:
                 ray.cancel(r, force=True)
             return {"committed": done,
-                    "pending_left": len(manifest.pending(sorted(shards))),
+                    "pending_left": len(manifest.pending(list(shards))),
                     "crashed": True}
         submit_next()
 
@@ -133,7 +135,7 @@ def run_resumable(
     }
     totals["wall_s"] = round(sum(r.get("wall_s", 0.0) for r in records), 3)
     return {"committed": done,
-            "pending_left": len(manifest.pending(sorted(shards))),
+            "pending_left": len(manifest.pending(list(shards))),
             "crashed": False,
             "total_shards": len(shards),
             "already_done": len(shards) - len(pending),

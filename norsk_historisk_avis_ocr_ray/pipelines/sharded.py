@@ -17,11 +17,11 @@ read and the pages stream) and ``process_shard`` runs each shard's pages
 through the page kernel in turn. The span stages — explode → resolve →
 clean → repack → correct — then run **once over a run of consecutive
 shards** (the whole group, unless its text passes ``SPAN_PASS_BYTES``),
-keyed by ``schema.PART``, each shard's int32 ordinal in its run: resolve
-joins on ``(PART, media_ref)`` and repack segments on ``(PART, doc_id)``,
-so the output is the concatenation of the per-shard outputs, row for row,
-for any grouping. The fixed cost of each stage's Arrow calls is paid per
-run, not per shard.
+each row's ``schema.PART`` its shard's ordinal in the run: resolve joins on
+``(PART, media_ref)`` and repack segments on ``(PART, doc_id)``, so the
+output is the concatenation of the per-shard outputs, row for row, for any
+grouping. The fixed cost of each stage's Arrow calls is paid per run, not
+per shard.
 
 Partitioning assumption (documented per the operator contract): all spans of
 a ``doc_id`` and all pages they reference are inside the shard. Inputs that
@@ -211,12 +211,16 @@ def _span_pass(run: list[tuple[pa.Table, pa.Table | None]],
                corrector: CorrectorStage) -> pa.Table:
     """explode → resolve → clean → repack → correct, once over a run of
     shards' documents and page regions (None: the shard has no pages)."""
-    docs = [_with_part(d, part) for part, (d, _) in enumerate(run)]
-    regions = [_with_part(r, part) for part, (_, r) in enumerate(run)
-               if r is not None]
-    spans = explode_spans(pa.concat_tables(docs))
-    regions = clean_batch(resolve_spans(
-        spans, pa.concat_tables(regions) if regions else None))
+    parts = np.repeat(np.arange(len(run), dtype=np.int32),
+                      [d.num_rows for d, _ in run])
+    rows = [explode_spans(pa.concat_tables([d for d, _ in run]),
+                          pa.array(parts))]
+    for part, (_, r) in enumerate(run):
+        if r is not None:
+            rows.append(r.set_column(r.schema.get_field_index(PART), PART,
+                                     pa.array(np.full(r.num_rows, part,
+                                                      np.int32))))
+    regions = clean_batch(resolve_spans(pa.concat_tables(rows)))
     return corrector(repack_table(regions))
 
 
@@ -238,11 +242,6 @@ def _span_docs(docs: pa.Table) -> pa.Table:
     spans = pa.ListArray.from_arrays(offsets, items, mask=pc.is_null(spans))
     return pa.Table.from_arrays([docs["doc_id"].cast(pa.string()), spans],
                                 schema=DOCUMENTS_SCHEMA)
-
-
-def _with_part(t: pa.Table, part: int) -> pa.Table:
-    return t.append_column(PART,
-                           pa.array(np.full(t.num_rows, part, np.int32)))
 
 
 def _shard_task_fn(engine_factory: Callable[[], Any], correction: bool,

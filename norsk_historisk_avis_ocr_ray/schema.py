@@ -28,12 +28,30 @@ DOCUMENTS_SCHEMA = pa.schema(
     ]
 )
 
-# The int32 shard ordinal that leads the rows of a group of shards
-# (``pipelines.sharded``): ``explode_spans`` carries it, ``resolve_spans``
-# joins on it and ``repack_table`` segments on it. A reserved name, so a
-# caller's own column (a hive ``part=`` directory, a newspaper's part
-# number) never switches the span stages to keyed rows.
+# The partition that leads every span row: a shard's ordinal in a span pass
+# (``pipelines.sharded``) or a hash bucket (``pipelines.extract``).
+# ``resolve_spans`` joins on ``(PART, media_ref)`` and ``repack_table``
+# segments on ``(PART, doc_id)``. A reserved name, so a caller's own
+# ``part`` column (a hive ``part=`` directory, a newspaper's part number)
+# is never read as one.
 PART = "__part"
+
+# The one row shape the span stages pass along. An exploded span has a null
+# ``region_idx``; a page region (``ocr_pages``) has a null ``doc_id`` and
+# ``in_offset`` and partition 0; a resolved region has every column set.
+SPAN_ROW_SCHEMA = pa.schema(
+    [
+        pa.field(PART, pa.int32()),
+        pa.field("doc_id", pa.string()),
+        pa.field("in_offset", pa.int32()),   # the span's offset in its doc
+        pa.field("region_idx", pa.int32()),  # the region's index in its page
+        pa.field("kind", pa.string()),
+        pa.field("text", pa.string()),
+        pa.field("media_ref", pa.string()),
+        pa.field("error", pa.string()),
+        pa.field("n_cols", pa.int32()),      # the page's column count
+    ]
+)
 
 # Media side table (resolved via spans.media_ref). Images are stored as a raw
 # zlib-compressed grayscale byte buffer + dimensions — a deterministic codec

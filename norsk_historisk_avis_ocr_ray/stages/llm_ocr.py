@@ -228,19 +228,26 @@ class AnthropicVisionOcr:
         payload, _w, _h = encode_under_limit(
             prepare_image(img), max_bytes=MAX_IMAGE_BYTES, codec="jpeg")
         b64 = base64.standard_b64encode(payload).decode("ascii")
-        return self._call_api(b64, "image/jpeg",
-                              select_user_prompt(region_kind, n_cols))
+        return self._call_api(SYSTEM_PROMPT, [
+            {"type": "image",
+             "source": {"type": "base64", "media_type": "image/jpeg",
+                        "data": b64}},
+            {"type": "text", "text": select_user_prompt(region_kind, n_cols)},
+        ])
 
     # -- internals ------------------------------------------------------------
 
-    def _call_api(self, image_b64: str, media_type: str, user_prompt: str) -> str:
+    def _call_api(self, system: str, content: str | list) -> str:
+        """One user message through the retry, backoff and circuit-breaker
+        policy: the reply's text, or ``RetryableOcrError`` /
+        ``FatalOcrError``."""
         if self._circuit_open is not None:
             raise FatalOcrError(
                 f"circuit open after fatal API error: {self._circuit_open}")
         last: BaseException | None = None
         for attempt in range(self.max_attempts):
             try:
-                return self._one_call(image_b64, media_type, user_prompt)
+                return self._one_call(system, content)
             except Exception as exc:
                 kind = classify_api_error(exc)
                 if kind == "fatal":
@@ -254,23 +261,15 @@ class AnthropicVisionOcr:
             f"retries exhausted ({self.max_attempts} attempts): "
             f"{type(last).__name__}: {last}") from last
 
-    def _one_call(self, image_b64: str, media_type: str, user_prompt: str) -> str:
+    def _one_call(self, system: str, content: str | list) -> str:
         # Streaming call, temperature=0 (claude_vision_engine.py:157-195);
         # draining text_stream keeps long transcriptions from timing out.
         with self.client.messages.stream(
             model=self.model_id,
             max_tokens=self.max_tokens,
             temperature=0,
-            system=SYSTEM_PROMPT,
-            messages=[{
-                "role": "user",
-                "content": [
-                    {"type": "image",
-                     "source": {"type": "base64", "media_type": media_type,
-                                "data": image_b64}},
-                    {"type": "text", "text": user_prompt},
-                ],
-            }],
+            system=system,
+            messages=[{"role": "user", "content": content}],
         ) as stream:
             for _ in stream.text_stream:
                 pass
@@ -311,8 +310,10 @@ CORRECTION_USER_PROMPT = ("Correct OCR errors in the following text from a "
 class LlmCorrector:
     """LLM slot for the ``correct(text) -> str | None`` surface the
     deterministic ``NorwegianNormalizer`` implements (``stages.correct``).
-    Returns None on failure — the caller falls back to the uncorrected text
-    (reference ``tesseract_claude_engine.py:124-137`` fallback semantics)."""
+    Each call goes through the engine's retry, backoff and circuit-breaker
+    policy (``max_attempts``, ``backoff_s``). Returns None once that fails —
+    the caller falls back to the uncorrected text (reference
+    ``tesseract_claude_engine.py:124-137`` fallback semantics)."""
 
     def __init__(self, model: str = DEFAULT_MODEL, region: str = DEFAULT_REGION,
                  max_tokens: int = 16384, max_attempts: int = 3,
@@ -334,28 +335,9 @@ class LlmCorrector:
     def correct(self, text: str) -> str | None:
         if not text:
             return text
-        eng = self._engine
-        if eng._circuit_open is not None:
-            return None
         try:
-            with eng.client.messages.stream(
-                model=eng.model_id,
-                max_tokens=eng.max_tokens,
-                temperature=0,
-                system=CORRECTION_SYSTEM_PROMPT,
-                messages=[{"role": "user",
-                           "content": CORRECTION_USER_PROMPT.format(text=text)}],
-            ) as stream:
-                for _ in stream.text_stream:
-                    pass
-                message = stream.get_final_message()
-        except Exception as exc:
-            if classify_api_error(exc) == "fatal":
-                eng._circuit_open = f"{type(exc).__name__}: {exc}"
+            return self._engine._call_api(
+                CORRECTION_SYSTEM_PROMPT,
+                CORRECTION_USER_PROMPT.format(text=text))
+        except (RetryableOcrError, FatalOcrError):
             return None
-        eng.usage["api_calls"] += 1
-        eng.usage["input_tokens"] += message.usage.input_tokens
-        eng.usage["output_tokens"] += message.usage.output_tokens
-        if message.stop_reason == "max_tokens":
-            eng.usage["truncated"] += 1
-        return message.content[0].text

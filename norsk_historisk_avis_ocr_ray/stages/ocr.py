@@ -8,11 +8,12 @@ model/language data is per-worker state, reference M1/M2) and
 
 ``ocr_pages`` is the one page kernel: per page it decodes the payload, runs
 layout analysis (``stages.layout``), crops regions and OCRs each, emitting
-*text-only* region rows keyed by ``media_ref`` — no image bytes ever enter
-the downstream stream or the reading-order shuffle (the reference's per-file
-sequential loop is ``tesseract_engine.py:152-178``). ``LayoutOcrStage`` is
-its Ray form (tasks, one cached engine per worker process), and
-``resolve_spans`` joins span rows to its output in process.
+*text-only* page regions in the span stages' one row shape
+(``schema.SPAN_ROW_SCHEMA``) — no image bytes ever enter the downstream
+stream or the reading-order shuffle (the reference's per-file sequential
+loop is ``tesseract_engine.py:152-178``). ``LayoutOcrStage`` is its Ray form
+(tasks, one cached engine per worker process), and ``resolve_spans`` joins
+span rows to the page regions beside them, in process.
 
 Error policy (fixes reference behavior where one API error aborts the whole
 file, ``claude_vision_engine.py:320-321``): any per-page or per-span failure
@@ -30,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray import cloudpickle
 
-from ..schema import PART
+from ..schema import PART, SPAN_ROW_SCHEMA
 from ..sources.codec import decode_with_band_profiles
 from ..synth import barcode
 from .layout import DARK_THRESHOLD, split_columns
@@ -140,48 +141,48 @@ def cached_engine(engine_factory: Callable[[], Any]) -> Any:
 
 PAGE_COLUMNS = ["media_ref", "image", "width", "height", "codec"]
 
-PAGE_REGION_FIELDS = [
-    ("media_ref", pa.string()),
-    ("region_idx", pa.int32()),
-    ("kind", pa.string()),
-    ("text", pa.string()),
-    ("error", pa.string()),
-    ("n_cols", pa.int32()),
-]
-PAGE_REGION_SCHEMA = pa.schema(PAGE_REGION_FIELDS)
-
 
 def ocr_pages(pages: pa.Table | Iterable[pa.RecordBatch],
               engine: Any) -> pa.Table:
     """The page kernel: page rows (``PAGE_COLUMNS``, a table or a stream of
-    record batches) → text-only region rows keyed by ``media_ref``
-    (``PAGE_REGION_SCHEMA``), one per layout region.
+    record batches) → text-only page regions, one per layout region: rows
+    of ``schema.SPAN_ROW_SCHEMA`` with a ``region_idx``, partition 0 and no
+    ``doc_id`` or ``in_offset``.
 
     Every pipeline OCRs through this loop; span rows are resolved against its
-    output with a left join on ``media_ref`` (``resolve_spans``). A page that
-    fails to decode, lay out or OCR yields one error row (empty text) and
-    none of its regions — never a job abort; an error reading the stream
-    itself raises. The region columns are built once, over all batches.
+    output with a left join on ``(PART, media_ref)`` (``resolve_spans``). A
+    page that fails to decode, lay out or OCR yields one error row (empty
+    text) and none of its regions — never a job abort; an error reading the
+    stream itself raises. The region columns are built once, over all
+    batches.
     """
-    cols: list[list] = [[] for _ in PAGE_REGION_FIELDS]
+    # each region's media_ref, region_idx, text, error and n_cols
+    cols: list[list] = [[] for _ in range(5)]
     for ref, buf, w, h, codec in page_rows(pages):
         try:
             img, profiles = decode_with_band_profiles(
                 buf, w, h, codec, threshold=DARK_THRESHOLD)
             layout = split_columns(img, band_profiles=profiles)
-            rows = [(ref, region_idx, "text",
+            rows = [(ref, region_idx,
                      engine.ocr_region(img[y0:y1, x0:x1], region_kind=kind,
                                        n_cols=layout.n_cols),
                      None, layout.n_cols)
                     for region_idx, (kind, (x0, y0, x1, y1))
                     in enumerate(layout.regions)]
         except Exception as e:  # per-page error row, never job abort
-            rows = [(ref, 0, "text", "", f"{type(e).__name__}: {e}", 0)]
+            rows = [(ref, 0, "", f"{type(e).__name__}: {e}", 0)]
         for row in rows:
             for c, v in zip(cols, row):
                 c.append(v)
-    arrays = [pa.array(c, type=f[1]) for c, f in zip(cols, PAGE_REGION_FIELDS)]
-    return pa.Table.from_arrays(arrays, schema=PAGE_REGION_SCHEMA)
+    refs, region_idx, texts, errors, n_cols = cols
+    n = len(refs)
+    return pa.Table.from_arrays(
+        [pa.array(np.zeros(n, np.int32)), pa.nulls(n, pa.string()),
+         pa.nulls(n, pa.int32()), pa.array(region_idx, pa.int32()),
+         pa.array(["text"] * n, pa.string()), pa.array(texts, pa.string()),
+         pa.array(refs, pa.string()), pa.array(errors, pa.string()),
+         pa.array(n_cols, pa.int32())],
+        schema=SPAN_ROW_SCHEMA)
 
 
 def page_rows(pages: pa.Table | Iterable[pa.RecordBatch]) -> Iterator[tuple]:
@@ -222,17 +223,23 @@ class LayoutOcrStage:
         return ocr_pages(batch, cached_engine(self.engine_factory))
 
 
-REGION_COLS = ["doc_id", "in_offset", "region_idx", "kind", "text",
-               "media_ref", "error", "n_cols"]
-
-
-def _region_table(t: pa.Table, columns: list) -> pa.Table:
-    """``REGION_COLS`` rows from ``columns``, led by ``t``'s ``PART`` column
-    when it has one (span rows of a group of shards)."""
-    if PART in t.column_names:
-        return pa.Table.from_arrays([t[PART], *columns],
-                                    names=[PART, *REGION_COLS])
-    return pa.Table.from_arrays(columns, names=REGION_COLS)
+def resolve_spans(rows: pa.Table) -> pa.Table:
+    """Span rows and page regions (the rows with a ``region_idx``) →
+    resolved region rows, in process: a local left join of the media spans
+    on ``(PART, media_ref)``, so the spans of a partition resolve against
+    its own page regions only. A media span with no page region is a
+    ``MissingMedia`` error row."""
+    is_page = pc.is_valid(rows["region_idx"])
+    is_media = pc.equal(rows["kind"], "media")  # a page region is 'text'
+    pages = rows.select([PART, "media_ref", "region_idx", "kind", "text",
+                         "error", "n_cols"]).filter(is_page)
+    media = rows.select([PART, "media_ref", "doc_id", "in_offset"]).filter(
+        is_media)
+    # one task per worker CPU already: no Arrow thread pool for the join
+    joined = media.join(pages, [PART, "media_ref"], join_type="left outer",
+                        use_threads=False)
+    rest = rows.filter(pc.invert(pc.or_(is_page, is_media)))
+    return pa.concat_tables([_finalize_media(joined), _passthrough_spans(rest)])
 
 
 def _finalize_media(t: pa.Table) -> pa.Table:
@@ -244,16 +251,17 @@ def _finalize_media(t: pa.Table) -> pa.Table:
         missing,
         pc.binary_join_element_wise("MissingMedia", t["media_ref"], ": "),
         t["error"])
-    return _region_table(t, [
+    return pa.Table.from_arrays([
+        t[PART],
         t["doc_id"],
-        t["in_offset"].cast(pa.int32()),
-        pc.fill_null(t["region_idx"], 0).cast(pa.int32()),
+        t["in_offset"],
+        pc.fill_null(t["region_idx"], 0),
         pc.fill_null(t["kind"], "text"),
         pc.fill_null(t["text"], ""),
         t["media_ref"],
         err,
-        pc.fill_null(t["n_cols"], 0).cast(pa.int32()),
-    ])
+        pc.fill_null(t["n_cols"], 0),
+    ], schema=SPAN_ROW_SCHEMA)
 
 
 def _passthrough_spans(t: pa.Table) -> pa.Table:
@@ -261,39 +269,17 @@ def _passthrough_spans(t: pa.Table) -> pa.Table:
     every other kind becomes a ``text`` region with no ``media_ref``."""
     n = t.num_rows
     empty = pc.equal(t["kind"], "empty")
-    return _region_table(t, [
+    return pa.Table.from_arrays([
+        t[PART],
         t["doc_id"],
-        t["in_offset"].cast(pa.int32()),
-        pa.array([0] * n, pa.int32()),
+        t["in_offset"],
+        pa.array(np.zeros(n, np.int32)),
         pc.if_else(empty, "empty", "text"),
         pc.if_else(empty, "", t["text"]),
         pa.array([""] * n, pa.string()),
         pa.nulls(n, pa.string()),
-        pa.array([0] * n, pa.int32()),
-    ])
-
-
-def resolve_spans(spans: pa.Table, page_regions: pa.Table | None = None) -> pa.Table:
-    """Exploded span rows + ``ocr_pages`` output → region rows, in process:
-    a local left join of the media spans on ``media_ref``, or on ``(PART,
-    media_ref)`` when the spans carry a ``schema.PART`` column (a group of
-    shards, whose page regions then carry it too): each shard's spans resolve
-    against that shard's pages only. With no page regions every media span
-    is ``MissingMedia``."""
-    keyed = PART in spans.column_names
-    keys = [PART, "media_ref"] if keyed else ["media_ref"]
-    if page_regions is None:
-        page_regions = PAGE_REGION_SCHEMA.empty_table()
-        if keyed:
-            page_regions = page_regions.add_column(
-                0, PART, pa.array([], pa.int32()))
-    is_media = pc.equal(spans["kind"], "media")
-    media = spans.filter(is_media).select([*keys, "doc_id", "in_offset"])
-    # one task per worker CPU already: no Arrow thread pool for the join
-    joined = media.join(page_regions, keys, join_type="left outer",
-                        use_threads=False)
-    rest = spans.filter(pc.invert(is_media))
-    return pa.concat_tables([_finalize_media(joined), _passthrough_spans(rest)])
+        pa.array(np.zeros(n, np.int32)),
+    ], schema=SPAN_ROW_SCHEMA)
 
 
 register_engine(MockBarcodeOcr.name, MockBarcodeOcr)

@@ -1,7 +1,8 @@
 """Reading-order reassembly: region rows → one output row per document.
 
-This is the engine's single wide step (reference A1): the per-region rows are
-shuffled by ``groupby("doc_id")`` and each group is sorted by
+This is the engine's reading-order step (reference A1): a document's region
+rows (``schema.SPAN_ROW_SCHEMA``, all in one partition: a shard of a span
+pass, or a ``doc_id`` bucket of the dataflow shuffle) are sorted by
 ``(in_offset, region_idx)`` — input-span order, then header-first /
 columns-left→right within a page (``tesseract_engine.py:158-181``,
 ``claude_vision_engine.py:313-348``). Derived columns:
@@ -51,30 +52,27 @@ def repack_table(tbl: pa.Table) -> pa.Table:
     all rows of a doc must be present — the caller guarantees co-location,
     either via groupby(doc_id) or shard-local processing).
 
-    Rows with an int32 ``schema.PART`` column (a group of shards,
-    ``pipelines.sharded``) are sorted and segmented on ``(PART, doc_id)``,
-    and the column is dropped: the output is each part's repacked rows in
-    part order, so a doc_id in two parts gives two rows.
+    Rows (``schema.SPAN_ROW_SCHEMA``) are sorted and segmented on
+    ``(PART, doc_id)``, and the partition is dropped: the output is each
+    partition's repacked rows in partition order, so a doc_id in two
+    partitions gives two rows.
 
     Fully vectorized: one Arrow sort, numpy boundary masks, and
     ``ListArray.from_arrays`` over per-doc offset boundaries — no per-row
     Python in the engine's hottest wide-stage loop."""
     if tbl.num_rows == 0:
         return REPACKED_SCHEMA.empty_table()
-    keyed = PART in tbl.column_names
-    keys = ([PART] if keyed else []) + ["doc_id", "in_offset", "region_idx"]
+    keys = [PART, "doc_id", "in_offset", "region_idx"]
     tbl = tbl.sort_by([(k, "ascending") for k in keys]).combine_chunks()
 
+    part_np = tbl[PART].to_numpy()
     doc_np = tbl["doc_id"].to_numpy(zero_copy_only=False)
     io_np = tbl["in_offset"].to_numpy(zero_copy_only=False)
     ri_np = tbl["region_idx"].to_numpy(zero_copy_only=False)
     n = len(doc_np)
     # a new document starts where (PART, doc_id) changes
     new_doc = np.ones(n, dtype=bool)
-    new_doc[1:] = doc_np[1:] != doc_np[:-1]
-    if keyed:
-        part_np = tbl[PART].to_numpy()
-        new_doc[1:] |= part_np[1:] != part_np[:-1]
+    new_doc[1:] = (doc_np[1:] != doc_np[:-1]) | (part_np[1:] != part_np[:-1])
 
     # Keep-first dedup of exact (PART, doc_id, in_offset, region_idx)
     # duplicates.
@@ -93,12 +91,9 @@ def repack_table(tbl: pa.Table) -> pa.Table:
 
     # Error counts: truthy (non-null, non-empty) error strings, counted on
     # every deduped row including kind='empty' rows.
-    if "error" in tbl.column_names:
-        err_mask = pc.fill_null(pc.not_equal(tbl["error"], ""), False)
-        err_np = err_mask.combine_chunks().to_numpy(zero_copy_only=False)
-        n_errors = np.add.reduceat(err_np.astype(np.int32), doc_starts)
-    else:
-        n_errors = np.zeros(n_docs, dtype=np.int32)
+    err_mask = pc.fill_null(pc.not_equal(tbl["error"], ""), False)
+    err_np = err_mask.combine_chunks().to_numpy(zero_copy_only=False)
+    n_errors = np.add.reduceat(err_np.astype(np.int32), doc_starts)
 
     # Span rows: every non-'empty' region, in sorted order.
     kind_np = tbl["kind"].to_numpy(zero_copy_only=False)

@@ -283,11 +283,37 @@ def test_llm_corrector_success_and_usage():
     assert "rå tekst" in call["messages"][0]["content"]
 
 
-def test_llm_corrector_failure_returns_none():
-    client = FakeClient(errors=[WeirdServerError()])
+def test_llm_corrector_retries_a_transient_error():
+    client = FakeClient(replies=[FakeMessage("rettet tekst")],
+                        errors=[RateLimitError()])
+    sleeps = []
+    c = LlmCorrector(client_factory=lambda: client, sleep=sleeps.append,
+                     backoff_s=0.5)
+    c.load()
+    assert c.correct("rå tekst") == "rettet tekst"
+    assert c.usage["retries"] == 1 and c.usage["api_calls"] == 1
+    assert sleeps == [0.5]
+    assert len(client.messages.calls) == 2
+
+
+def test_llm_corrector_fatal_error_opens_circuit():
+    client = FakeClient(errors=[AuthenticationError("bad key")])
     c = LlmCorrector(client_factory=lambda: client, sleep=lambda s: None)
     c.load()
+    assert c.correct("tekst") is None
+    assert c.correct("tekst") is None
+    assert len(client.messages.calls) == 1  # no further API traffic
+
+
+def test_llm_corrector_failure_returns_none():
+    # every attempt fails with a retryable error: retries run out → None
+    client = FakeClient(errors=[WeirdServerError()] * 3)
+    c = LlmCorrector(client_factory=lambda: client, sleep=lambda s: None,
+                     max_attempts=3)
+    c.load()
     assert c.correct("tekst") is None  # caller falls back to raw text
+    assert len(client.messages.calls) == 3
+    assert c.usage["retries"] == 2
 
 
 def test_llm_corrector_empty_passthrough():

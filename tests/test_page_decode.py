@@ -36,11 +36,11 @@ from norsk_historisk_avis_ocr_ray.sources.codec import (
     encode_image,
 )
 from norsk_historisk_avis_ocr_ray.sources.pdf import build_scanned_pdf
+from norsk_historisk_avis_ocr_ray.schema import SPAN_ROW_SCHEMA
 from norsk_historisk_avis_ocr_ray.sources.png import _chunk, encode_png
 from norsk_historisk_avis_ocr_ray.stages.layout import find_band_dividers
 from norsk_historisk_avis_ocr_ray.stages.ocr import (
     PAGE_COLUMNS,
-    PAGE_REGION_SCHEMA,
     MockBarcodeOcr,
     _payloads,
     ocr_pages,
@@ -410,7 +410,7 @@ def test_zero_row_pages_file_makes_every_media_span_missing(small_corpus,
     assert stream.num_rows == 0 and stream.batch_size == 1
     engine = MockBarcodeOcr()
     regions = ocr_pages(stream, engine)
-    assert regions.num_rows == 0 and regions.schema == PAGE_REGION_SCHEMA
+    assert regions.num_rows == 0 and regions.schema == SPAN_ROW_SCHEMA
     docs = small_corpus["documents"]
     out = process_shard([(docs, stream)], engine)
     assert out.equals(process_shard([(docs, None)], engine))

@@ -91,6 +91,39 @@ def test_page_ocr_batch_matches_stage(corpus_dir):
     assert LayoutOcrStage(partial(MockBarcodeOcr))(t).equals(want)
 
 
+def test_span_stages_emit_the_one_row_schema(corpus_dir):
+    # explode, the page kernel (in process and as its Ray stage) and resolve
+    # all pass SPAN_ROW_SCHEMA rows: a span has no region_idx, a page region
+    # no doc_id or in_offset, and a resolved region every column but error
+    import pyarrow.parquet as pq
+    from norsk_historisk_avis_ocr_ray.schema import (DOCUMENTS_SCHEMA,
+                                                     SPAN_ROW_SCHEMA)
+    from norsk_historisk_avis_ocr_ray.stages.explode import explode_spans
+    from norsk_historisk_avis_ocr_ray.stages.ocr import (
+        PAGE_COLUMNS, LayoutOcrStage, MockBarcodeOcr, ocr_pages, resolve_spans)
+
+    docs = pa.concat_tables([
+        pq.read_table(f"{corpus_dir}/documents").select(["doc_id", "spans"]),
+        pa.Table.from_pylist([{"doc_id": "d-empty", "spans": []}],
+                             schema=DOCUMENTS_SCHEMA)])
+    pages = pq.read_table(f"{corpus_dir}/pages.parquet", columns=PAGE_COLUMNS)
+    spans = explode_spans(docs)
+    regions = ocr_pages(pages, MockBarcodeOcr())
+    resolved = resolve_spans(pa.concat_tables([spans, regions]))
+    for t in (spans, explode_spans(docs.slice(0, 0)), regions,
+              LayoutOcrStage(MockBarcodeOcr)(pages), resolved,
+              resolve_spans(spans), resolve_spans(spans.slice(0, 0))):
+        assert t.schema == SPAN_ROW_SCHEMA
+    assert spans["region_idx"].null_count == spans.num_rows
+    assert "empty" in spans["kind"].to_pylist()
+    assert regions["doc_id"].null_count == regions.num_rows > 0
+    assert regions["in_offset"].null_count == regions.num_rows
+    assert set(regions["__part"].to_pylist()) == {0}
+    assert resolved.num_rows >= spans.num_rows
+    assert all(resolved[c].null_count == 0
+               for c in SPAN_ROW_SCHEMA.names if c != "error")
+
+
 def test_engine_cache_tells_same_named_factories_apart(corpus_dir):
     # two lambdas from one maker (or two partials of one class) share a
     # qualified name and differ only in their closure cell (or argument):
@@ -325,7 +358,6 @@ def test_span_pass_size_cap_keeps_the_rows(tmp_path, monkeypatch):
     # a group runs through the span stages in runs of consecutive shards
     # under SPAN_PASS_BYTES; any cap gives the same rows
     from norsk_historisk_avis_ocr_ray.pipelines import sharded
-    from norsk_historisk_avis_ocr_ray.schema import PART
     from norsk_historisk_avis_ocr_ray.stages.ocr import MockBarcodeOcr
     from norsk_historisk_avis_ocr_ray.synth.corpus import make_corpus
 
@@ -342,9 +374,9 @@ def test_span_pass_size_cap_keeps_the_rows(tmp_path, monkeypatch):
     runs = []
     explode = sharded.explode_spans
 
-    def counting_explode(t):
-        runs.append(max(t[PART].to_pylist()) + 1)
-        return explode(t)
+    def counting_explode(t, parts):
+        runs.append(max(parts.to_pylist()) + 1)
+        return explode(t, parts)
 
     monkeypatch.setattr(sharded, "explode_spans", counting_explode)
     body = sharded._shard_task_fn(MockBarcodeOcr, True, True)
@@ -427,14 +459,14 @@ def test_dataflow_media_buckets_resolve_like_sharded(corpus_dir, tmp_path):
     # names: the dataflow rows are the sharded rows
     import pyarrow.parquet as pq
     from norsk_historisk_avis_ocr_ray.functions import scale
-    from norsk_historisk_avis_ocr_ray.pipelines.extract import (BUCKET,
-                                                                _with_bucket)
-    from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA
+    from norsk_historisk_avis_ocr_ray.pipelines.extract import _with_bucket
+    from norsk_historisk_avis_ocr_ray.schema import DOCUMENTS_SCHEMA, PART
 
     pages = pq.read_table(f"{corpus_dir}/pages.parquet")
     refs = pages["media_ref"].to_pylist()
-    buckets = _with_bucket(pages, pages["media_ref"],
-                           max(64, scale.read_blocks(2.0)))[BUCKET].to_pylist()
+    keys = pa.table({PART: pa.nulls(len(refs), pa.int32())})
+    buckets = _with_bucket(keys, pages["media_ref"],
+                           max(64, scale.read_blocks(2.0)))[PART].to_pylist()
     shared = refs[0]
     other = next(r for r, b in zip(refs, buckets) if b != buckets[0])
 
@@ -456,6 +488,19 @@ def test_dataflow_media_buckets_resolve_like_sharded(corpus_dir, tmp_path):
     assert [r["n_errors"] for r in sharded] == [0, 0, 0, 0]
     assert len({r["combined"] for r in sharded[:3]}) == 1
     assert sharded[3]["combined"].startswith("før")
+
+
+def test_dataflow_rows_do_not_depend_on_the_bucket_count(corpus_dir,
+                                                         monkeypatch):
+    # other buckets put other rows together in each resolve and repack
+    # group: the rows stay the same, with pages and without
+    from norsk_historisk_avis_ocr_ray.pipelines import extract as extract_mod
+
+    docs, pages = _docs_pages(corpus_dir)
+    want = [_rows(extract(docs, p)) for p in (pages, None)]
+    monkeypatch.setattr(extract_mod.scale, "read_blocks", lambda *a, **k: 97)
+    assert max(64, extract_mod.scale.read_blocks(2.0)) != 64
+    assert [_rows(extract(docs, p)) for p in (pages, None)] == want
 
 
 def test_missing_page_is_a_row_error_on_every_path(corpus_dir, tmp_path):

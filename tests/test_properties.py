@@ -166,8 +166,8 @@ def test_reflow_idempotent(text):
 @given(st.permutations(list(range(8))))
 def test_repack_restores_offset_order(perm):
     """Physical row order must never matter — only (in_offset, region_idx)."""
-    rows = [{"doc_id": "d", "in_offset": i, "region_idx": 0, "kind": "text",
-             "text": f"t{i}", "media_ref": "", "error": None}
+    rows = [{"__part": 0, "doc_id": "d", "in_offset": i, "region_idx": 0,
+             "kind": "text", "text": f"t{i}", "media_ref": "", "error": None}
             for i in range(8)]
     shuffled = [rows[i] for i in perm]
     out = repack_table(pa.Table.from_pylist(shuffled))

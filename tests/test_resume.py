@@ -155,6 +155,41 @@ def test_torn_manifest_tail_is_not_a_commit(copart_dir, tmp_path):
     assert_golden(out, copart_dir)
 
 
+def test_resume_starts_the_largest_shard_first(tmp_path, monkeypatch):
+    # list_shards' order (largest pages file first) is the submit order: with
+    # one shard in flight, the first commit is the largest shard, which is
+    # not part-0000
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from norsk_historisk_avis_ocr_ray.pipelines import run as run_mod
+    from norsk_historisk_avis_ocr_ray.state.manifest import Manifest
+    from norsk_historisk_avis_ocr_ray.synth.corpus import make_corpus
+
+    corpus = make_corpus(12, seed=3)
+    docs, pages = corpus["documents"], corpus["pages"]
+    d = tmp_path / "corpus"
+    (d / "documents").mkdir(parents=True)
+    (d / "pages").mkdir()
+    for i, part in enumerate((docs.slice(0, 2), docs.slice(2))):
+        refs = sorted({s["media_ref"] for spans in part["spans"].to_pylist()
+                       for s in spans if s["media_ref"]})
+        pq.write_table(part, str(d / "documents" / f"part-{i:04d}.parquet"))
+        pq.write_table(pages.filter(pc.is_in(pages["media_ref"],
+                                             pa.array(refs, pa.string()))),
+                       str(d / "pages" / f"part-{i:04d}.parquet"))
+    sizes = [os.path.getsize(d / "pages" / f"part-{i:04d}.parquet")
+             for i in range(2)]
+    assert sizes[1] > sizes[0]
+
+    monkeypatch.setattr(run_mod, "cluster_cpus", lambda: 1)
+    out = str(tmp_path / "out")
+    s = run_resumable(str(d), out, fail_after=1)
+    assert s["committed"] == 1 and s["pending_left"] == 1
+    assert list(Manifest(os.path.join(out, "manifest.jsonl")).committed()) \
+        == ["part-0001"]
+
+
 def test_complete_bad_manifest_line_raises(tmp_path):
     from norsk_historisk_avis_ocr_ray.state.manifest import Manifest
 

@@ -9,7 +9,9 @@ host's load weighs on both sides alike. A run that is not ``correct`` with
 0 failed stops the comparison with exit code 1: its metrics would not
 describe working code.
 
-Each run's metrics go to stderr as they come. At the end, for every
+Each run's metrics go to stderr as they come, with the run's
+``rss_parts_mb`` (the driver's and each Ray worker's peak RSS) when run.py
+reports it. At the end, for every
 end-to-end metric of ``BENCHMARK.json``, stdout gets the parent's and the
 change's median and interquartile range, the change of the median, and how
 many of the N pairs the change won (strictly better, in the metric's
@@ -27,8 +29,9 @@ import sys
 
 
 def run_once(checkout: str, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict[str, float]:
-    """One benchmark run in ``checkout``: its end-to-end metric values."""
+             seconds: float) -> tuple[dict[str, float], dict | None]:
+    """One benchmark run in ``checkout``: its end-to-end metric values and
+    the ``rss_parts_mb`` of the JSON line run.py prints last on stderr."""
     argv = command + ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -41,7 +44,11 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
     if not result.get("correct") or result.get("failed") != 0:
         sys.exit(f"{checkout}: refused a run that is not correct with 0 "
                  f"failed: {lines[-1]}")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    try:
+        parts = json.loads(proc.stderr.strip().splitlines()[-1])["rss_parts_mb"]
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError):
+        parts = None
+    return {k: v["value"] for k, v in result["metrics"].items()}, parts
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -68,10 +75,12 @@ def main() -> None:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics = run_once(sides[side], bench["command"], args.workload,
-                               args.seed, bench["run_seconds"])
+            metrics, parts = run_once(sides[side], bench["command"],
+                                      args.workload, args.seed,
+                                      bench["run_seconds"])
             runs[side].append(metrics)
-            print(f"pair {i + 1} {side}: {json.dumps(metrics)}",
+            print(f"pair {i + 1} {side}: {json.dumps(metrics)}"
+                  + (f" rss_parts_mb {json.dumps(parts)}" if parts else ""),
                   file=sys.stderr, flush=True)
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
